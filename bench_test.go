@@ -118,6 +118,33 @@ func BenchmarkReplicatedPipeline(b *testing.B) {
 	}
 }
 
+// BenchmarkGlobalScheduleGNN measures Algorithm 2 alone on the paper's
+// workload: Global.Schedule with replicate-when-idle over a prebuilt,
+// read-only GNN inference job set (4 batches of 32 two-hop subgraphs of
+// the ogbl-citation2 stand-in, 3 GCN layers). Each iteration schedules
+// on a fresh node, so the cost-model memos start cold exactly as in one
+// offline batch, and the per-job predicted profiles exercise the knee
+// search's miss path.
+func BenchmarkGlobalScheduleGNN(b *testing.B) {
+	d, ok := graph.DatasetByName("ogbl-citation2")
+	if !ok {
+		b.Fatal("dataset missing")
+	}
+	rng := rand.New(rand.NewSource(12))
+	w := gnn.BuildWorkload(rng, d, gnn.NewGCN(rng, d.InputFeat, d.HiddenFeat, 3), 4, 32)
+	jobs := w.AllJobs(predict.Oracle{}, sched.NewSystem(isa.Targets...))
+	sc := sched.NewGlobal()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys := sched.NewSystem(isa.Targets...)
+		sys.Replication = sched.ReplicateWhenIdle
+		if res := sc.Schedule(sys, jobs); len(res.Assignments) != len(jobs) {
+			b.Fatalf("completed %d of %d jobs", len(res.Assignments), len(jobs))
+		}
+	}
+}
+
 // BenchmarkMultiTenantSchedule measures the array-set scheduler on one
 // dense mixed-tenant batch: 32 jobs across 4 tenants packed weighted-
 // fair on a full node — the multi-tenant analogue of the Fig. 19

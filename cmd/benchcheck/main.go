@@ -7,8 +7,12 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'Fleet|Extension' . | benchcheck -baseline BENCH_BASELINE.json
-//	go test -run '^$' -bench 'Fleet|Extension' . | benchcheck -baseline BENCH_BASELINE.json -update
+//	go test -run '^$' -bench 'Fleet|Extension' -benchmem . | benchcheck -baseline BENCH_BASELINE.json
+//	go test -run '^$' -bench 'Fleet|Extension' -benchmem . | benchcheck -baseline BENCH_BASELINE.json -update
+//
+// allocs/op (from -benchmem output) is gated per benchmark: any
+// baseline benchmark whose allocs/op rises more than -allocs-tolerance
+// percent, or that the run reports no allocs/op for, fails the check.
 //
 // Benchmarks present in the run but missing from the baseline are
 // reported and skipped (they cannot regress); baseline entries missing
@@ -35,33 +39,44 @@ import (
 )
 
 // Baseline is the committed reference: benchmark name (with the -P GOMAXPROCS
-// suffix stripped) to ns/op.
+// suffix stripped) to ns/op and, when recorded with -benchmem, allocs/op.
 type Baseline struct {
 	// Note explains how the file was produced; carried through -update.
-	Note    string             `json:"note,omitempty"`
-	NsPerOp map[string]float64 `json:"ns_per_op"`
+	Note        string             `json:"note,omitempty"`
+	NsPerOp     map[string]float64 `json:"ns_per_op"`
+	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
 }
 
 // benchLine matches `BenchmarkName-8   100   12345 ns/op   ...` and the
-// suffix-less form emitted with GOMAXPROCS unset.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+// suffix-less form emitted with GOMAXPROCS unset; allocsField matches the
+// `  42 allocs/op` column -benchmem appends.
+var (
+	benchLine   = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+	allocsField = regexp.MustCompile(`\s([0-9.]+) allocs/op`)
+)
 
-func parseBench(r io.Reader) (map[string]float64, error) {
-	got := map[string]float64{}
+// parseBench returns each benchmark's ns/op and, for lines carrying a
+// -benchmem column, its allocs/op.
+func parseBench(r io.Reader) (ns, allocs map[string]float64, err error) {
+	ns, allocs = map[string]float64{}, map[string]float64{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
+		line := sc.Text()
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad ns/op in %q: %v", sc.Text(), err)
+		if ns[m[1]], err = strconv.ParseFloat(m[2], 64); err != nil {
+			return nil, nil, fmt.Errorf("bad ns/op in %q: %v", line, err)
 		}
-		got[m[1]] = ns
+		if a := allocsField.FindStringSubmatch(line); a != nil {
+			if allocs[m[1]], err = strconv.ParseFloat(a[1], 64); err != nil {
+				return nil, nil, fmt.Errorf("bad allocs/op in %q: %v", line, err)
+			}
+		}
 	}
-	return got, sc.Err()
+	return ns, allocs, sc.Err()
 }
 
 func main() {
@@ -72,10 +87,15 @@ func main() {
 		"fail when geomean(new/old) exceeds this ratio")
 	tolerance := flag.Float64("tolerance", 0,
 		"fail when any single benchmark regresses more than this percentage (0 disables the per-bench gate)")
+	allocsTolerance := flag.Float64("allocs-tolerance", 10,
+		"fail when any benchmark's allocs/op exceeds its baseline by more than this percentage")
 	note := flag.String("note", "", "note stored in the baseline on -update")
 	flag.Parse()
 	if *tolerance < 0 {
 		fatal(fmt.Errorf("-tolerance must be >= 0 (got %g)", *tolerance))
+	}
+	if *allocsTolerance < 0 {
+		fatal(fmt.Errorf("-allocs-tolerance must be >= 0 (got %g)", *allocsTolerance))
 	}
 
 	src := io.Reader(os.Stdin)
@@ -87,7 +107,7 @@ func main() {
 		defer f.Close()
 		src = f
 	}
-	got, err := parseBench(src)
+	got, allocs, err := parseBench(src)
 	if err != nil {
 		fatal(err)
 	}
@@ -101,6 +121,9 @@ func main() {
 			_ = json.Unmarshal(raw, &old)
 		}
 		b := Baseline{Note: old.Note, NsPerOp: got}
+		if len(allocs) > 0 {
+			b.AllocsPerOp = allocs
+		}
 		if *note != "" {
 			b.Note = *note
 		}
@@ -124,9 +147,11 @@ func main() {
 		fatal(fmt.Errorf("%s: %v", *baseline, err))
 	}
 
-	if compare(os.Stdout, base, got, *threshold, *tolerance) {
+	failed := compare(os.Stdout, base, got, *threshold, *tolerance)
+	if compareAllocs(os.Stdout, base, allocs, *allocsTolerance) || failed {
 		os.Exit(1)
 	}
+	fmt.Println("benchcheck: PASS")
 }
 
 // compare writes the per-benchmark report and returns true when the
@@ -187,8 +212,35 @@ func compare(w io.Writer, base Baseline, got map[string]float64, threshold, tole
 		fmt.Fprintf(w, "benchcheck: FAIL — %s exceeds -tolerance %.0f%%\n", o, tolerance)
 		fail = true
 	}
-	if !fail {
-		fmt.Fprintln(w, "benchcheck: PASS")
+	return fail
+}
+
+// compareAllocs gates allocs/op per benchmark: it returns true when any
+// baseline allocs/op entry is missing from the run (e.g. the run lacked
+// -benchmem) or grew by more than tolerance percent.
+func compareAllocs(w io.Writer, base Baseline, allocs map[string]float64, tolerance float64) bool {
+	var names []string
+	for name := range base.AllocsPerOp {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	fail := false
+	for _, name := range names {
+		old := base.AllocsPerOp[name]
+		now, ok := allocs[name]
+		if !ok {
+			fmt.Fprintf(w, "benchcheck: FAIL — %s has no allocs/op in the run (baseline %.0f; run with -benchmem)\n", name, old)
+			fail = true
+			continue
+		}
+		if now > old*(1+tolerance/100) {
+			fmt.Fprintf(w, "benchcheck: FAIL — %s allocs/op %.0f -> %.0f exceeds -allocs-tolerance %.0f%%\n",
+				name, old, now, tolerance)
+			fail = true
+		}
+	}
+	if len(names) > 0 && !fail {
+		fmt.Fprintf(w, "allocs   %d benchmarks within %.0f%% of baseline allocs/op\n", len(names), tolerance)
 	}
 	return fail
 }

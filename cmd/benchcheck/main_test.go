@@ -7,11 +7,11 @@ import (
 
 func TestParseBench(t *testing.T) {
 	out := `goos: linux
-BenchmarkFleet-8           	     100	   1200000 ns/op	  500 B/op
+BenchmarkFleet-8           	     100	   1200000 ns/op	  500 B/op	      42 allocs/op
 BenchmarkExtension_Replication 	      50	   2400000.5 ns/op
 PASS
 `
-	got, err := parseBench(strings.NewReader(out))
+	got, allocs, err := parseBench(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,6 +23,10 @@ PASS
 	}
 	if got["BenchmarkExtension_Replication"] != 2400000.5 {
 		t.Errorf("BenchmarkExtension_Replication = %v", got["BenchmarkExtension_Replication"])
+	}
+	// Only the -benchmem line carries allocs/op.
+	if len(allocs) != 1 || allocs["BenchmarkFleet"] != 42 {
+		t.Errorf("allocs = %v, want BenchmarkFleet: 42 only", allocs)
 	}
 }
 
@@ -65,5 +69,33 @@ func TestCompareMissingBenchmarkFails(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "MISSING") {
 		t.Errorf("missing benchmark not reported:\n%s", sb.String())
+	}
+}
+
+func TestCompareAllocsGate(t *testing.T) {
+	base := Baseline{
+		NsPerOp:     map[string]float64{"BenchmarkA": 100, "BenchmarkB": 100},
+		AllocsPerOp: map[string]float64{"BenchmarkA": 1000, "BenchmarkB": 50},
+	}
+	var sb strings.Builder
+	if compareAllocs(&sb, base, map[string]float64{"BenchmarkA": 1050, "BenchmarkB": 40}, 10) {
+		t.Errorf("+5%% allocs under a 10%% tolerance must pass:\n%s", sb.String())
+	}
+	sb.Reset()
+	if !compareAllocs(&sb, base, map[string]float64{"BenchmarkA": 1200, "BenchmarkB": 50}, 10) {
+		t.Fatalf("+20%% allocs must fail a 10%% tolerance:\n%s", sb.String())
+	}
+	if out := sb.String(); !strings.Contains(out, "BenchmarkA allocs/op 1000 -> 1200") {
+		t.Errorf("failure output missing the regressed benchmark:\n%s", out)
+	}
+	// A run without -benchmem cannot silently skip the gate.
+	sb.Reset()
+	if !compareAllocs(&sb, base, map[string]float64{}, 10) {
+		t.Errorf("run without allocs/op must fail when the baseline records them:\n%s", sb.String())
+	}
+	// A baseline without allocs/op gates nothing.
+	sb.Reset()
+	if compareAllocs(&sb, Baseline{NsPerOp: base.NsPerOp}, map[string]float64{"BenchmarkA": 1e9}, 10) {
+		t.Errorf("baseline without allocs/op must not gate allocs:\n%s", sb.String())
 	}
 }

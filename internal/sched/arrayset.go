@@ -196,30 +196,6 @@ func (a ArraySet) Contains(b ArraySet) bool {
 	return true
 }
 
-// Signature returns a canonical FNV-1a hash of the span list — the
-// free-set key the knee/cost memos use instead of a bare capacity
-// integer. Equal sets always hash equal; the span representation is
-// canonical (sorted, coalesced), so the signature is too.
-func (a ArraySet) Signature() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	for _, s := range a.spans {
-		mix(uint64(s.Lo))
-		mix(uint64(s.Hi))
-	}
-	return h
-}
-
 // String renders the set as "[0,4) [6,8)" for diagnostics.
 func (a ArraySet) String() string {
 	if len(a.spans) == 0 {

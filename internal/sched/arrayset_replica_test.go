@@ -10,8 +10,8 @@ import (
 // path through a degrade/restore storm and checks the ArraySet
 // invariants the scheduler depends on at every step: replica sets stay
 // disjoint from the free set and from each other, no array ID is ever
-// duplicated or lost, and the memo signature moves whenever the
-// free/replica partition does.
+// duplicated or lost, and every degrade leaves a free set distinct,
+// span for span, from every free set before it.
 func TestArraySetReplicaOpsUnderDegrade(t *testing.T) {
 	sys := fullSystem()
 	sys.Replication = ReplicateWhenIdle
@@ -49,20 +49,22 @@ func TestArraySetReplicaOpsUnderDegrade(t *testing.T) {
 	check("after carve")
 
 	// Degrade reclaims replicas first; the carve/teardown churn must
-	// conserve IDs and keep the signature moving.
-	sigs := map[uint64]bool{l.sig: true}
+	// conserve IDs and keep the free set moving.
+	seen := []ArraySet{l.Avail()}
 	for i := 0; i < 6; i++ {
 		sys.Degrade(isa.ReRAM, 64)
 		check("after degrade")
-		if sigs[l.sig] {
-			t.Fatalf("degrade %d reused an old signature", i)
+		for k, prev := range seen {
+			if sameSpans(l.avail, prev) {
+				t.Fatalf("degrade %d reproduced free set %d: %v", i, k, prev)
+			}
 		}
-		sigs[l.sig] = true
+		seen = append(seen, l.Avail())
 		// While degraded, the free set still supports the carve ops the
 		// scheduler performs: TakeLowest/TakeHighest splits stay within
 		// the set and Add restores them exactly.
 		free := l.Avail()
-		before := free.Signature()
+		before := free.Clone()
 		lo := free.TakeLowest(min(7, free.Count()-1))
 		hi := free.TakeHighest(min(5, free.Count()-1))
 		if lo.Intersects(hi) || lo.Intersects(free) || hi.Intersects(free) {
@@ -70,7 +72,7 @@ func TestArraySetReplicaOpsUnderDegrade(t *testing.T) {
 		}
 		free.Add(lo)
 		free.Add(hi)
-		if free.Signature() != before {
+		if !sameSpans(free, before) {
 			t.Fatal("take/add round-trip changed the set")
 		}
 	}
@@ -91,7 +93,7 @@ func TestArraySetReplicaOpsUnderDegrade(t *testing.T) {
 // FuzzArraySetOps fuzzes the span algebra against a bitmap model: a
 // byte script drives TakeLowest/TakeHighest/Add/Intersects/Contains on
 // a 256-array universe, and every step cross-checks counts, membership
-// and the canonical signature against the model.
+// and the canonical span list against the model.
 func FuzzArraySetOps(f *testing.F) {
 	f.Add([]byte{0x01, 0x43, 0x82, 0x10, 0xc5})
 	f.Add([]byte{0x00, 0x00, 0xff, 0xff, 0x40, 0x81})
@@ -106,8 +108,8 @@ func FuzzArraySetOps(f *testing.F) {
 		var taken []ArraySet
 
 		model := func() ArraySet {
-			// Rebuild the canonical set from the bitmap; Signature on
-			// both must agree if the spans are normalised.
+			// Rebuild the canonical set from the bitmap; the span
+			// lists must agree if the spans are normalised.
 			var m ArraySet
 			for i := 0; i < universe; i++ {
 				if inFree[i] {
@@ -168,8 +170,8 @@ func FuzzArraySetOps(f *testing.F) {
 			if m.Count() != free.Count() {
 				t.Fatalf("free count %d, model %d", free.Count(), m.Count())
 			}
-			if m.Signature() != free.Signature() {
-				t.Fatalf("free signature diverged from canonical model (free=%v model=%v)", free, m)
+			if !sameSpans(m, free) {
+				t.Fatalf("free spans diverged from canonical model (free=%v model=%v)", free, m)
 			}
 			if !m.Empty() && !free.Contains(m) {
 				t.Fatal("free does not contain its own model")

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -91,28 +92,33 @@ func TestArraySetIntersectsContains(t *testing.T) {
 	}
 }
 
-// Signature is canonical: equal sets hash equal however they were
-// assembled, and a take/add round trip restores the original signature.
-func TestArraySetSignatureCanonical(t *testing.T) {
+// The span list is canonical: equal sets hold identical spans however
+// they were assembled, and a take/add round trip restores the original
+// spans exactly.
+func TestArraySetSpansCanonical(t *testing.T) {
 	a := NewRange(0, 100)
-	sig := a.Signature()
+	orig := a.Clone()
 	taken := a.TakeLowest(17)
-	if a.Signature() == sig {
-		t.Error("signature unchanged after take")
+	if sameSpans(a, orig) {
+		t.Error("spans unchanged after take")
 	}
 	a.Add(taken)
-	if a.Signature() != sig {
-		t.Errorf("round trip changed signature: %v", a)
+	if !sameSpans(a, orig) {
+		t.Errorf("round trip changed spans: %v", a)
 	}
 	b := NewRange(0, 40)
 	b.Add(NewRange(40, 100))
-	if b.Signature() != sig {
-		t.Errorf("piecewise-assembled set hashes differently: %v", b)
+	if !sameSpans(b, orig) {
+		t.Errorf("piecewise-assembled set has different spans: %v", b)
 	}
-	if NewRange(0, 99).Signature() == sig {
-		t.Error("different sets should hash differently")
+	if sameSpans(NewRange(0, 99), orig) {
+		t.Error("different sets should have different spans")
 	}
 }
+
+// sameSpans reports whether two sets hold the same span list — set
+// equality, since the span representation is canonical.
+func sameSpans(a, b ArraySet) bool { return slices.Equal(a.Spans(), b.Spans()) }
 
 // Property: random take/put sequences conserve the ID population — the
 // union of everything out plus the pool equals the initial range, and

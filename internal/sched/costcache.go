@@ -9,23 +9,26 @@ import (
 //
 // The schedulers evaluate the Section III-C model t(x,m) thousands of
 // times per batch: every sort comparison in the inter/intra-queue
-// adjustments, every knee search, and every dispatcher routing decision
-// re-derives the same per-(job-shape, target, allocation) cycle count.
-// The model is a pure function of the job's Profile and the layer's
-// immutable configuration (the DDR StreamTime term is closed-form and
-// stateless), and Profile is a comparable value type — so the System
-// memoizes it behind a map keyed by the profile value itself. Two jobs
-// sharing a shape (every job of one app does) share cache lines.
+// adjustments and every dispatcher routing decision re-derives the same
+// per-(job-shape, target, allocation) cycle count. The model is a pure
+// function of the job's Profile and the layer's immutable configuration
+// (the DDR StreamTime term is closed-form and stateless), and Profile is
+// a comparable value type — so the System memoizes it behind a map
+// keyed by the profile value itself. Two jobs sharing a shape (every
+// job of one app does) share cache lines.
+//
+// The knee search is memoized one level up, per (profile, target,
+// capacity): the search reads nothing of the layer but its in-service
+// array count and immutable configuration, so a resized, degraded or
+// replica-carved layer re-keys by capacity alone and can never serve a
+// stale knee. The search itself evaluates its grid directly rather than
+// through the profile memo — with per-job predicted profiles almost
+// every grid point is a one-off that would only evict the entries the
+// sorts and dispatch keep hitting.
 //
 // A System is not safe for concurrent use — the DDR controller already
 // accumulates access statistics — so plain maps suffice; parallel
 // callers (experiments.RunAll, parallel kernels) each own their System.
-//
-// KneeAlloc additionally keys on the canonical signature of the layer's
-// free array set (ArraySet.Signature), the one mutable input
-// (internal/cluster scales capacities at node construction; the fault
-// path decommissions arrays) — so a resized or degraded layer can never
-// serve a stale knee.
 
 type profKey struct {
 	p      Profile
@@ -34,9 +37,15 @@ type profKey struct {
 }
 
 type kneeKey struct {
-	p   Profile
-	t   isa.Target
-	sig uint64 // free-set signature of the layer at search time
+	p        Profile
+	t        isa.Target
+	capacity int // in-service arrays of the layer at search time
+}
+
+// kneePoint is a memoized knee: the allocation and its modelled time.
+type kneePoint struct {
+	alloc int
+	time  event.Time
 }
 
 // MaxProfMemoEntries and MaxKneeMemoEntries bound the memo maps. The
@@ -58,7 +67,7 @@ type CacheStats struct {
 	ModelHits, ModelMisses int64
 	KneeHits, KneeMisses   int64
 	// Clears counts generation-clears: bound overflows plus
-	// Degrade/Restore invalidation sweeps.
+	// Degrade/Restore leak-guard sweeps of the knee memo.
 	Clears int64
 }
 
@@ -86,32 +95,30 @@ func (s *System) memoProfileTime(p Profile, t isa.Target, arrays int) event.Time
 	return v
 }
 
-// memoKneeAlloc answers KneeAlloc from the memo, keyed by the layer's
-// current free-set signature.
-func (s *System) memoKneeAlloc(p Profile, t isa.Target, sig uint64) (int, bool) {
-	if v, ok := s.kneeMemo[kneeKey{p: p, t: t, sig: sig}]; ok {
+// memoKnee answers kneeForProfile from the memo.
+func (s *System) memoKnee(p Profile, t isa.Target, capacity int) (kneePoint, bool) {
+	k, ok := s.kneeMemo[kneeKey{p: p, t: t, capacity: capacity}]
+	if ok {
 		s.cacheStats.KneeHits++
-		return v, true
 	}
-	return 0, false
+	return k, ok
 }
 
-func (s *System) storeKneeAlloc(p Profile, t isa.Target, sig uint64, alloc int) {
+func (s *System) storeKnee(p Profile, t isa.Target, capacity int, k kneePoint) {
 	if s.kneeMemo == nil {
-		s.kneeMemo = make(map[kneeKey]int, 64)
+		s.kneeMemo = make(map[kneeKey]kneePoint, 64)
 	} else if len(s.kneeMemo) >= MaxKneeMemoEntries {
 		clear(s.kneeMemo)
 		s.cacheStats.Clears++
 	}
-	s.kneeMemo[kneeKey{p: p, t: t, sig: sig}] = alloc
+	s.kneeMemo[kneeKey{p: p, t: t, capacity: capacity}] = k
 	s.cacheStats.KneeMisses++
 }
 
-// clearKneeMemo generation-clears the knee memo after a free-set
-// change: entries keyed by signatures the layer has left behind can
-// only be hit again if that exact set returns, so Degrade/Restore
-// drops them wholesale rather than letting a churning fault plan strand
-// one map generation per free-set it visits.
+// clearKneeMemo generation-clears the knee memo after Degrade/Restore.
+// Capacity keys stay correct across any change, so this is purely a
+// leak guard: a churning fault plan would otherwise strand entries for
+// every capacity it visits until the bound-triggered clear.
 func (s *System) clearKneeMemo() {
 	if len(s.kneeMemo) == 0 {
 		return

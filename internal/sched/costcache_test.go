@@ -99,7 +99,7 @@ func TestKneeMemoBounded(t *testing.T) {
 	p := j.Est[isa.SRAM]
 	for i := 0; i < 2*MaxKneeMemoEntries; i++ {
 		p.UnitCycles = int64(1000 + i)
-		sys.storeKneeAlloc(p, isa.SRAM, 64, 8)
+		sys.storeKnee(p, isa.SRAM, 64, kneePoint{alloc: 8})
 	}
 	if n := len(sys.kneeMemo); n > MaxKneeMemoEntries {
 		t.Errorf("kneeMemo grew to %d entries, bound is %d", n, MaxKneeMemoEntries)
@@ -158,12 +158,26 @@ func BenchmarkModelTime(b *testing.B) {
 	})
 }
 
-// BenchmarkKneeAlloc measures the memoized knee search.
+// BenchmarkKneeAlloc measures the memoized knee search: one repeated
+// query, so every iteration after the first is a memo hit.
 func BenchmarkKneeAlloc(b *testing.B) {
 	sys := NewSystem(isa.Targets...)
 	j := cacheTestJob()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sys.KneeAlloc(j, isa.SRAM)
+	}
+}
+
+// BenchmarkKneeAllocMiss measures the knee search itself: every
+// iteration queries a fresh profile, so the knee memo never hits and
+// each query runs the full grid evaluation.
+func BenchmarkKneeAllocMiss(b *testing.B) {
+	sys := NewSystem(isa.Targets...)
+	p := cacheTestJob().Est[isa.SRAM]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.UnitCycles = int64(40000 + i)
+		sys.kneeForProfile(p, isa.SRAM)
 	}
 }

@@ -9,11 +9,11 @@ import "mlimp/internal/isa"
 // deterministically, the highest in-service IDs first, mirroring
 // mem.FailArrays — and pushes each removed set onto a LIFO stack, so
 // Restore returns precisely the IDs that were lost. Because KneeAlloc
-// is memoized per (profile, target, free-set signature), the next
-// lookup after a Degrade/Restore misses under the new signature and
-// re-runs the knee search on the degraded curve; stale entries are
-// generation-cleared so the memo stays bounded across long
-// fault-churning sweeps (see costcache.go).
+// is memoized per (profile, target, capacity), the next lookup after a
+// Degrade/Restore misses under the new capacity and re-runs the knee
+// search on the degraded curve; stale entries are generation-cleared so
+// the memo stays bounded across long fault-churning sweeps (see
+// costcache.go).
 
 // Degrade removes n arrays from layer t, flooring the layer at one
 // array so jobs that only run there remain schedulable (slowly) rather
@@ -49,7 +49,6 @@ func (s *System) Degrade(t isa.Target, n int) int {
 	} else {
 		n = 0
 	}
-	l.refreshSig()
 	s.clearKneeMemo()
 	return n
 }
@@ -98,7 +97,6 @@ func (s *System) Restore(t isa.Target, n int) int {
 			l.repWant = nil
 		}
 	}
-	l.refreshSig()
 	s.clearKneeMemo()
 	return restored
 }

@@ -144,9 +144,12 @@ type System struct {
 	Replication ReplicationPolicy
 
 	profMemo   map[profKey]event.Time
-	kneeMemo   map[kneeKey]int
+	kneeMemo   map[kneeKey]kneePoint
+	kneeGrids  map[int][]int // geometric knee grid per capacity
+	kneeTimes  []float64     // reused grid-time buffer of kneeSearch
 	cacheStats CacheStats
-	targets    []isa.Target // memoised Targets(); Layers is fixed after construction
+	targets    []isa.Target           // memoised Targets(); Layers is fixed after construction
+	byTarget   [isa.NumTargets]*Layer // dense view of Layers, built with targets
 }
 
 // Layer is one computable memory exposed to the scheduler. Capacity is
@@ -159,7 +162,6 @@ type Layer struct {
 
 	universe int        // physical IDs [0, universe) this layer owns
 	avail    ArraySet   // arrays currently in service
-	sig      uint64     // memo signature of avail + replicas (costcache.go)
 	lost     []ArraySet // decommissioned sets, most recent last
 
 	replicas []Replica // standing stage replicas pinned out of avail
@@ -188,7 +190,6 @@ func (l *Layer) SetCapacity(n int) {
 	l.lost = nil
 	l.replicas = nil
 	l.repWant = nil
-	l.sig = l.avail.Signature()
 }
 
 // Avail returns a copy of the in-service array set.
@@ -216,12 +217,20 @@ func NewSystem(targets ...isa.Target) *System {
 func (s *System) Targets() []isa.Target {
 	if s.targets == nil {
 		for _, t := range isa.Targets {
-			if _, ok := s.Layers[t]; ok {
+			if l, ok := s.Layers[t]; ok {
 				s.targets = append(s.targets, t)
+				s.byTarget[t] = l
 			}
 		}
 	}
 	return s.targets
+}
+
+// layer returns Layers[t] through the dense index Targets builds, so
+// the cost model's hot path indexes an array instead of hashing t.
+func (s *System) layer(t isa.Target) *Layer {
+	s.Targets()
+	return s.byTarget[t]
 }
 
 // ModelTime evaluates the analytical model t(x,m) of Equations 1-3 for
@@ -259,7 +268,7 @@ func (s *System) profileTime(p Profile, t isa.Target, arrays int) event.Time {
 // Factored out so the model can be run forward (computeProfileTime) and
 // inverted (ObservedUnitCycles) from one definition.
 func (s *System) profileParts(p Profile, t isa.Target, arrays int) (ld event.Time, scale float64) {
-	l := s.Layers[t]
+	l := s.layer(t)
 	clock := l.Cfg.Clock()
 
 	beta := p.Beta
@@ -296,7 +305,7 @@ func (s *System) profileParts(p Profile, t isa.Target, arrays int) (ld event.Tim
 // (p, t, arrays) given the layer's immutable configuration.
 func (s *System) computeProfileTime(p Profile, t isa.Target, arrays int) event.Time {
 	ld, scale := s.profileParts(p, t, arrays)
-	clock := s.Layers[t].Cfg.Clock()
+	clock := s.layer(t).Cfg.Clock()
 	return ld + event.Time(float64(clock.Cycles(p.UnitCycles))*scale)
 }
 
@@ -309,7 +318,7 @@ func (s *System) computeProfileTime(p Profile, t isa.Target, arrays int) event.T
 // imply no measurable compute and floor at one cycle.
 func (s *System) ObservedUnitCycles(p Profile, t isa.Target, arrays int, span event.Time) int64 {
 	ld, scale := s.profileParts(p, t, arrays)
-	clock := s.Layers[t].Cfg.Clock()
+	clock := s.layer(t).Cfg.Clock()
 	cmpt := span - ld
 	if cmpt <= 0 || scale <= 0 {
 		return 1
@@ -336,11 +345,11 @@ func (s *System) BestTarget(j *Job) (isa.Target, event.Time) {
 	best := isa.Target(0)
 	bestT := event.Time(math.MaxInt64)
 	for _, t := range s.Targets() {
-		if _, ok := j.Est[t]; !ok {
+		p, ok := j.Est[t]
+		if !ok {
 			continue
 		}
-		m := s.KneeAlloc(j, t)
-		if tt := s.ModelTime(j, t, m); tt < bestT {
+		if _, tt := s.kneeForProfile(p, t); tt < bestT {
 			bestT = tt
 			best = t
 		}
@@ -355,37 +364,42 @@ const kneeGridPoints = 48
 // time curve t(x,m): the paper picks the m that maximises the angular
 // speed of the tangent to the (normalised) curve, which avoids the
 // overprovisioning that plain argmin produces once the curve flattens.
-// The knee is memoized per (profile, target, free-set signature) — the
-// grid search below samples the model at kneeGridPoints allocations,
-// and every job of one app shares the same knee.
+// The knee is memoized per (profile, target, capacity) — the grid
+// search below samples the model at kneeGridPoints allocations, and
+// every job of one app shares the same knee.
 func (s *System) KneeAlloc(j *Job, t isa.Target) int {
 	p, ok := j.Est[t]
 	if !ok {
 		return 1
 	}
-	return s.kneeForProfile(p, t)
+	m, _ := s.kneeForProfile(p, t)
+	return m
 }
 
-// kneeForProfile is KneeAlloc on a bare profile — shared with the
-// replica planner, which sizes replicas for a stage profile without a
-// job in hand.
-func (s *System) kneeForProfile(p Profile, t isa.Target) int {
-	l := s.Layers[t]
-	maxM := l.Capacity()
-	if maxM < 1 {
-		return 1
+// kneeForProfile is KneeAlloc on a bare profile, also returning the
+// modelled time at the knee — shared with BestTarget and the replica
+// planner, which sizes replicas for a stage profile without a job in
+// hand.
+func (s *System) kneeForProfile(p Profile, t isa.Target) (int, event.Time) {
+	maxM := s.layer(t).Capacity()
+	if k, ok := s.memoKnee(p, t, maxM); ok {
+		return k.alloc, k.time
 	}
-	if knee, ok := s.memoKneeAlloc(p, t, l.sig); ok {
-		return knee
+	m := 1
+	if maxM >= 1 {
+		m = s.kneeSearch(p, t, maxM)
 	}
-	knee := s.kneeSearch(p, t, maxM)
-	s.storeKneeAlloc(p, t, l.sig, knee)
-	return knee
+	k := kneePoint{alloc: m, time: s.computeProfileTime(p, t, m)}
+	s.storeKnee(p, t, maxM, k)
+	return k.alloc, k.time
 }
 
-// kneeSearch runs the grid search for the knee of t(x,m) on [1, maxM].
-func (s *System) kneeSearch(p Profile, t isa.Target, maxM int) int {
-	// Geometric grid over [1, maxM].
+// kneeGrid returns the geometric grid of at most kneeGridPoints
+// distinct allocations over [1, maxM], cached per capacity.
+func (s *System) kneeGrid(maxM int) []int {
+	if ms, ok := s.kneeGrids[maxM]; ok {
+		return ms
+	}
 	ms := make([]int, 0, kneeGridPoints)
 	prev := 0
 	for i := 0; i < kneeGridPoints; i++ {
@@ -399,13 +413,26 @@ func (s *System) kneeSearch(p Profile, t isa.Target, maxM int) int {
 		ms = append(ms, m)
 		prev = m
 	}
+	if s.kneeGrids == nil || len(s.kneeGrids) >= MaxKneeMemoEntries {
+		s.kneeGrids = make(map[int][]int, len(s.Layers))
+	}
+	s.kneeGrids[maxM] = ms
+	return ms
+}
+
+// kneeSearch runs the grid search for the knee of t(x,m) on [1, maxM],
+// evaluating the model directly: each grid point is a one-off, so
+// routing it through the profile memo would only flood the memo.
+func (s *System) kneeSearch(p Profile, t isa.Target, maxM int) int {
+	ms := s.kneeGrid(maxM)
 	if len(ms) < 3 {
 		return maxM
 	}
-	ts := make([]float64, len(ms))
-	for i, m := range ms {
-		ts[i] = float64(s.profileTime(p, t, m))
+	ts := s.kneeTimes[:0]
+	for _, m := range ms {
+		ts = append(ts, float64(s.computeProfileTime(p, t, m)))
 	}
+	s.kneeTimes = ts
 	// Normalise both axes to [0,1].
 	tMin, tMax := ts[0], ts[0]
 	for _, v := range ts {

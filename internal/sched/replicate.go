@@ -20,11 +20,9 @@ import (
 // down first when Degrade shrinks the layer, and are re-carved when
 // Restore brings the capacity back.
 //
-// The replica arrays leave the layer's free set, so every memoised
-// quantity keyed on the free-set signature (knee allocations, plan
-// times) re-keys automatically; refreshSig additionally mixes the
-// replica sets into the signature so two configurations with equal free
-// sets but different replicas can never share a memo entry.
+// The replica arrays leave the layer's free set, so the knee memo —
+// keyed on the layer's in-service capacity — re-keys automatically and
+// needs no invalidation when replicas are carved or dropped.
 
 // ReplicationPolicy selects whether the scheduler may turn idle arrays
 // into standing stage replicas.
@@ -85,16 +83,6 @@ type repSpec struct {
 	prof   Profile
 	arrays int
 	count  int
-}
-
-// refreshSig recomputes the layer's memo signature from the free set
-// and the pinned replica sets.
-func (l *Layer) refreshSig() {
-	sig := l.avail.Signature()
-	for _, r := range l.replicas {
-		sig = sig*1099511628211 ^ r.Set.Signature()
-	}
-	l.sig = sig
 }
 
 // Replicas returns a copy of the standing replicas on layer t.
@@ -182,7 +170,7 @@ func (r *replicaRouter) route(j *Job, bt isa.Target, btime event.Time) isa.Targe
 // the compute term remain. Deterministic and model-driven on both the
 // planning and execution paths, so estimates on replicas are exact.
 func (s *System) ReplicaTime(p Profile, t isa.Target, arrays int) event.Time {
-	l := s.Layers[t]
+	l := s.layer(t)
 	beta := p.Beta
 	if beta == 0 {
 		beta = DefaultBeta
@@ -240,10 +228,7 @@ func (s *System) EnsureReplicas(jobs []*Job) {
 		return
 	}
 	l := s.Layers[t]
-	arrays := s.kneeForProfile(prof, t)
-	if arrays < 1 {
-		arrays = 1
-	}
+	arrays, _ := s.kneeForProfile(prof, t)
 	n := replicaBudget(l.Capacity()) / arrays
 	if n > count {
 		n = count
@@ -260,15 +245,12 @@ func (s *System) EnsureReplicas(jobs []*Job) {
 		})
 	}
 	l.repWant = nil
-	l.refreshSig()
-	s.clearKneeMemo()
 }
 
 // DropReplicas tears down every standing replica, returning its arrays
 // to the free lists. It reports how many arrays were released.
 func (s *System) DropReplicas() int {
 	total := 0
-	changed := false
 	for _, t := range s.Targets() {
 		l := s.Layers[t]
 		if len(l.replicas) == 0 {
@@ -279,11 +261,6 @@ func (s *System) DropReplicas() int {
 			total += l.replicas[i].Arrays
 		}
 		l.replicas = nil
-		l.refreshSig()
-		changed = true
-	}
-	if changed {
-		s.clearKneeMemo()
 	}
 	return total
 }

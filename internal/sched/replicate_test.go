@@ -74,11 +74,11 @@ func TestEnsureReplicasKeepsPinAcrossBatches(t *testing.T) {
 	sys := fullSystem()
 	sys.Replication = ReplicateWhenIdle
 	sys.EnsureReplicas(stagedBatch(8))
-	sig := sys.Replicas(isa.ReRAM)[0].Set.Signature()
+	pinned := sys.Replicas(isa.ReRAM)[0].Set.Clone()
 	// Same stage again: the pin (and its programmed weights) survives.
 	sys.EnsureReplicas(stagedBatch(6))
 	reps := sys.Replicas(isa.ReRAM)
-	if len(reps) == 0 || reps[0].Set.Signature() != sig {
+	if len(reps) == 0 || !sameSpans(reps[0].Set, pinned) {
 		t.Error("pin was rebuilt for an unchanged stage")
 	}
 	// A batch without the stage re-plans (here: nothing to replicate).
@@ -172,19 +172,40 @@ func TestDegradeReclaimsReplicasFirst(t *testing.T) {
 	}
 }
 
+// TestReplicaMemoKeying: carving replicas moves arrays out of the free
+// set, so the knee memo re-keys by capacity with no invalidation, and
+// dropping them restores the free set span for span along with the
+// healthy knee.
 func TestReplicaMemoKeying(t *testing.T) {
 	sys := fullSystem()
 	sys.Replication = ReplicateWhenIdle
 	l := sys.Layers[isa.ReRAM]
-	sigBefore := l.sig
+	j := stagedBatch(1)[0]
+	freeBefore := l.Avail()
+	kneeBefore := sys.KneeAlloc(j, isa.ReRAM)
 	sys.EnsureReplicas(stagedBatch(8))
-	if l.sig == sigBefore {
-		t.Error("layer signature unchanged by replica pinning")
+	if sameSpans(l.avail, freeBefore) {
+		t.Error("free set unchanged by replica pinning")
 	}
-	// Dropping replicas restores the original free set and signature.
+	for i, r := range sys.Replicas(isa.ReRAM) {
+		if !freeBefore.Contains(r.Set) || l.avail.Intersects(r.Set) {
+			t.Errorf("replica %d set %v not carved out of the free set", i, r.Set)
+		}
+	}
+	if got, want := sys.KneeAlloc(j, isa.ReRAM), sys.kneeSearch(j.Est[isa.ReRAM], isa.ReRAM, l.Capacity()); got != want {
+		t.Errorf("knee %d under replicas, want %d at capacity %d", got, want, l.Capacity())
+	}
 	sys.DropReplicas()
-	if l.sig != sigBefore {
-		t.Errorf("signature %x after drop, want %x", l.sig, sigBefore)
+	if !sameSpans(l.avail, freeBefore) {
+		t.Errorf("free set %v after drop, want %v", l.avail, freeBefore)
+	}
+	// The healthy-capacity entry survived the carve/drop round trip.
+	hits := sys.CacheStats().KneeHits
+	if got := sys.KneeAlloc(j, isa.ReRAM); got != kneeBefore {
+		t.Errorf("knee %d after drop, want %d", got, kneeBefore)
+	}
+	if st := sys.CacheStats(); st.KneeHits != hits+1 || st.Clears != 0 {
+		t.Errorf("replica carve/drop disturbed the knee memo: %+v", st)
 	}
 }
 

@@ -15,7 +15,7 @@ func TestDegradeRestoreRoundTripsIDs(t *testing.T) {
 	sys := NewSystem(isa.Targets...)
 	l := sys.Layers[isa.SRAM]
 	cap0 := l.Capacity()
-	sig0 := l.sig
+	avail0 := l.Avail()
 
 	if got := sys.Degrade(isa.SRAM, 100); got != 100 {
 		t.Fatalf("Degrade removed %d, want 100", got)
@@ -43,12 +43,12 @@ func TestDegradeRestoreRoundTripsIDs(t *testing.T) {
 	if want := NewRange(cap0-100, cap0); sys.DegradedIDs(isa.SRAM).String() != want.String() {
 		t.Errorf("after partial restore, lost IDs = %v, want %v", sys.DegradedIDs(isa.SRAM), want)
 	}
-	// Full restore reproduces the healthy set exactly, signature included.
+	// Full restore reproduces the healthy set exactly, span for span.
 	if got := sys.Restore(isa.SRAM, 1000); got != 100 {
 		t.Fatalf("final Restore returned %d, want 100", got)
 	}
-	if l.Capacity() != cap0 || l.sig != sig0 {
-		t.Errorf("round trip: capacity=%d sig=%#x, want %d %#x", l.Capacity(), l.sig, cap0, sig0)
+	if l.Capacity() != cap0 || !sameSpans(l.avail, avail0) {
+		t.Errorf("round trip: capacity=%d avail=%v, want %d %v", l.Capacity(), l.avail, cap0, avail0)
 	}
 	if !sys.DegradedIDs(isa.SRAM).Empty() || sys.Lost(isa.SRAM) != 0 {
 		t.Errorf("round trip left lost state: %v", sys.DegradedIDs(isa.SRAM))
