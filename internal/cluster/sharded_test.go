@@ -13,6 +13,12 @@ import (
 // exec errors, deadlines — driven through the mailbox fabric with the
 // given worker count.
 func chaosSharded(policy Policy, workers int) Summary {
+	return newChaosSharded(policy, workers).Run()
+}
+
+// newChaosSharded builds the chaosSharded fleet, faults enabled and
+// batches submitted, ready to Run.
+func newChaosSharded(policy Policy, workers int) *ShardedDispatcher {
 	d := NewShardedDispatcher(policy, Admission{MaxRetries: 6}, ShardConfig{Workers: workers},
 		fullNode("a"), fullNode("b"), fullNode("c"))
 	plan := &fault.Plan{
@@ -34,7 +40,7 @@ func chaosSharded(policy Policy, workers int) Summary {
 			panic(err)
 		}
 	}
-	return d.Run()
+	return d
 }
 
 // TestShardedWorkerEquivalence is the determinism contract end to end:
