@@ -1,7 +1,7 @@
 // Command mlimp-serve runs a multi-node MLIMP serving fleet under a
 // Poisson-style open arrival stream: heterogeneous nodes (layer mixes
-// and capacity scales) on one shared deterministic engine, fronted by a
-// dispatcher with a pluggable load-balancing policy and admission
+// and capacity scales), each on its own deterministic event engine,
+// fronted by a hub with a pluggable load-balancing policy and admission
 // control. Output is byte-for-byte reproducible for a fixed seed.
 //
 // Usage:
@@ -9,18 +9,17 @@
 //	mlimp-serve                              # default 4-node fleet, all policies
 //	mlimp-serve -policy predicted-cost       # one policy
 //	mlimp-serve -nodes "sram,dram,reram/reram@0.5" -mean-gap-ms 2
-//	mlimp-serve -j 4                         # sharded fabric, 4 engine workers
+//	mlimp-serve -j 4                         # 4 simulation workers
 //
-// With -j >= 1 the fleet runs on the sharded per-node engine fabric
+// The fleet runs on the sharded per-node engine fabric
 // (internal/event/parsim): each node owns its own event engine and the
-// dispatcher talks to them over latency-bearing mailboxes. The output
-// is identical for every -j >= 1 — the worker count only changes how
-// many shards advance concurrently. -j 0 (the default) keeps the
-// legacy single-engine dispatcher.
+// hub talks to them over latency-bearing mailboxes. -j only sets how
+// many shards advance concurrently: 0 and 1 both run serially, and the
+// output is identical for every -j.
 //
-// Open-loop request serving (-open, requires -j >= 1) replaces the
-// batch stream with the request-level front end of internal/serve:
-// individual requests arrive under a configurable arrival process
+// Open-loop request serving (-open) replaces the batch stream with the
+// request-level front end of internal/serve: individual requests
+// arrive under a configurable arrival process
 // (-arrival poisson|mmpp|diurnal, -req-gap-us), carry per-request SLO
 // deadlines (-slo-ms), and are coalesced by the continuous batch-former
 // (-budget-us, -batch-max). With -admission predictor the dispatcher
@@ -140,17 +139,17 @@ func main() {
 		"open-breaker cooldown before a half-open probe; 0 means the default")
 	heartbeatMs := flag.Float64("heartbeat-ms", 0, "node heartbeat period; 0 means the default")
 	hubCrash := flag.String("hub-crash", "",
-		"regional hub freeze windows: slash-separated region@at:recover (ms), e.g. 1@2:6 (needs -j >= 1 and -hubs > 1)")
+		"regional hub freeze windows: slash-separated region@at:recover (ms), e.g. 1@2:6 (needs -hubs > 1)")
 	edgeFault := flag.String("edge-fault", "",
-		"fabric edge faults: slash-separated from>to@at:until:drop:delay (ms; until 0 = open), e.g. hub0>hub1@2:6:1:0 (needs -j >= 1)")
+		"fabric edge faults: slash-separated from>to@at:until:drop:delay (ms; until 0 = open), e.g. hub0>hub1@2:6:1:0")
 	hubs := flag.Int("hubs", 1,
-		"regional sub-hubs the sharded fabric dispatches through (1 = flat single hub; must tile the fleet)")
+		"regional sub-hubs the fleet dispatches through (1 = one hub over every node; must tile the fleet)")
 	hubFanout := flag.Int("hub-fanout", 0,
 		"nodes per sub-hub (0 = derive from -hubs; hubs x fanout must equal the fleet size)")
 	jobs := flag.Int("j", 0,
-		"engine workers for the sharded per-node fabric; 0 uses the legacy single-engine dispatcher")
+		"simulation workers advancing the per-node engine shards (0 and 1 both run serially; output is identical for every -j)")
 	openLoop := flag.Bool("open", false,
-		"run the open-loop request front end (continuous batching + SLO admission); requires -j >= 1")
+		"run the open-loop request front end (continuous batching + SLO admission)")
 	source := flag.String("source", "app", "open-loop request source: app | gnn")
 	arrival := flag.String("arrival", "poisson", "open-loop arrival process: poisson | mmpp | diurnal")
 	reqGapUs := flag.Float64("req-gap-us", 100, "open-loop mean request inter-arrival gap (us)")
@@ -177,9 +176,6 @@ func main() {
 	if *jobs < 0 {
 		fail("-j must be >= 0 (got %d)", *jobs)
 	}
-	if *openLoop && *jobs < 1 {
-		fail("-open needs the sharded fabric: pass -j >= 1 (got %d)", *jobs)
-	}
 	if *batches <= 0 {
 		fail("-batches must be positive (got %d)", *batches)
 	}
@@ -202,7 +198,7 @@ func main() {
 		fail("fault rates must be >= 0 (array-fault-rate=%g crash-rate=%g)",
 			*arrayFaultRate, *crashRate)
 	}
-	if *execErrorProb < 0 || *execErrorProb > 1 {
+	if !(*execErrorProb >= 0 && *execErrorProb <= 1) {
 		fail("-exec-error-prob must be in [0,1] (got %g)", *execErrorProb)
 	}
 	if *meanOutageMs < 0 || *deadlineMs < 0 {
@@ -276,9 +272,6 @@ func main() {
 	if err != nil {
 		fail("%v (fleet has %d nodes)", err, len(cfgs))
 	}
-	if resolvedHubs > 1 && *jobs < 1 {
-		fail("-hubs > 1 needs the sharded fabric: pass -j >= 1 (got %d)", *jobs)
-	}
 	// Fabric fault flags: parse and structurally validate up front so a
 	// bad spec is a flag error (exit 2), not a mid-run failure.
 	hubCrashes, err := fault.ParseHubCrashes(*hubCrash)
@@ -289,11 +282,8 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	if len(hubCrashes) > 0 && (*jobs < 1 || resolvedHubs < 2) {
-		fail("%v: -hub-crash needs -j >= 1 and -hubs > 1", cluster.ErrHubCrashNeedsTree)
-	}
-	if len(edgeFaults) > 0 && *jobs < 1 {
-		fail("%v: -edge-fault needs -j >= 1", cluster.ErrEdgeFaultNeedsFabric)
+	if len(hubCrashes) > 0 && resolvedHubs < 2 {
+		fail("%v: -hub-crash needs -hubs > 1", cluster.ErrHubCrashNeedsTree)
 	}
 	for _, e := range edgeFaults {
 		if e.DropProb > 0 && *deadlineMs <= 0 {
@@ -395,19 +385,8 @@ func main() {
 	}
 	for _, name := range policies {
 		p, _ := cluster.PolicyByName(name)
-		// Both fabrics satisfy the same Submit/EnableFaults/Run contract;
-		// -j selects which one serves the fleet.
-		var d interface {
-			Submit(*runtime.Batch) error
-			EnableFaults(cluster.FaultConfig) error
-			Run() cluster.Summary
-		}
-		if *jobs >= 1 {
-			d = cluster.NewShardedDispatcher(p, adm,
-				cluster.ShardConfig{Workers: *jobs, Hubs: resolvedHubs}, cfgs...)
-		} else {
-			d = cluster.NewDispatcher(p, adm, cfgs...)
-		}
+		d := cluster.NewShardedDispatcher(p, adm,
+			cluster.ShardConfig{Workers: *jobs, Hubs: resolvedHubs}, cfgs...)
 		if faulty {
 			err := d.EnableFaults(cluster.FaultConfig{
 				Plan:            plan,
@@ -495,8 +474,8 @@ type openParams struct {
 	faultCfg               *cluster.FaultConfig
 }
 
-// runOpenLoop drives the request-level front end once per policy on the
-// sharded fabric, with the request trace held fixed across policies.
+// runOpenLoop drives the request-level front end once per policy, with
+// the request trace held fixed across policies.
 func runOpenLoop(policies []string, adm cluster.Admission, cfgs []cluster.NodeConfig,
 	workers, hubs int, p openParams) {
 	die := func(err error) {

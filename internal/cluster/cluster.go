@@ -1,7 +1,7 @@
 // Package cluster lifts the single-node serving runtime into a
 // multi-node MLIMP serving fabric: N nodes — possibly heterogeneous in
-// layer mix and capacity — each run a runtime batch executor on one
-// shared event engine, fronted by a dispatcher with pluggable
+// layer mix and capacity — each run a runtime batch executor on its own
+// parsim shard, fronted by one or more regional hubs with pluggable
 // load-balancing policies and admission control (bounded per-node
 // queues with shed-on-overflow and optional bounded retry in simulated
 // time). The paper schedules jobs across the computable-memory layers
@@ -43,15 +43,15 @@ type NodeConfig struct {
 	Replication sched.ReplicationPolicy
 }
 
-// Node is one MLIMP system wrapped in a runtime executor plus the
-// occupancy bookkeeping the dispatcher's policies read.
+// Node is one MLIMP system wrapped in a runtime executor (the real node
+// on its shard) or its hub-side view carrying the occupancy bookkeeping
+// the policies read.
 type Node struct {
 	Name string
 	Sys  *sched.System
 
-	rt        *runtime.Runtime
-	accepted  int
-	queued    int                // outstanding bookings (dispatcher-side views only)
+	rt        *runtime.Runtime   // nil on hub-side views
+	queued    int                // outstanding bookings (hub-side views)
 	busy      event.Time         // sum of batch execution spans
 	predicted event.Time         // sum of cost estimates of outstanding batches
 	estimates map[int]event.Time // batch ID -> estimate while outstanding
@@ -61,7 +61,7 @@ type Node struct {
 
 	// estCache memoizes EstimateCost per batch signature. One admission
 	// costs at least two identical estimates (the policy's Pick plus the
-	// booking in accept), and every retry of a shed-bound arrival
+	// booking at dispatch), and every retry of a shed-bound arrival
 	// re-estimates the same batch against the same nodes; the planning
 	// pass behind each estimate is a full Algorithm-2 schedule, by far
 	// the dispatcher's hottest computation. Estimates assume an idle
@@ -80,7 +80,6 @@ type Node struct {
 	failures     int // exec errors + deadline timeouts attributed here
 	crashes      int
 	breaker      *breaker
-	onResult     func(n *Node, res runtime.BatchResult, err error)
 }
 
 // Health is a node's condition as the fabric sees it.
@@ -104,17 +103,6 @@ func (h Health) String() string {
 		return "degraded"
 	}
 	return "down"
-}
-
-// Health classifies the node right now.
-func (n *Node) Health() Health {
-	if n.down || n.detectedDown {
-		return DownHealth
-	}
-	if n.arraysLost > 0 || (n.breaker != nil && n.breaker.state != breakerClosed) {
-		return Degraded
-	}
-	return Healthy
 }
 
 // ArraysLost returns the arrays currently lost to injected faults.
@@ -196,50 +184,26 @@ func newSystemFor(cfg NodeConfig) *sched.System {
 	return sys
 }
 
-// NewNode builds a node on the shared engine.
+// NewNode builds a node whose runtime executes on eng.
 func NewNode(eng *event.Engine, cfg NodeConfig) *Node {
-	sys := newSystemFor(cfg)
+	n := newView(cfg)
 	scheduler := cfg.Scheduler
 	if scheduler == nil {
 		scheduler = sched.NewGlobal()
 	}
-	name := cfg.Name
-	if name == "" {
-		name = fmt.Sprintf("node-%v", cfg.Targets)
-	}
-	rt, err := runtime.NewOn(eng, sys, scheduler)
+	rt, err := runtime.NewOn(eng, n.Sys, scheduler)
 	if err != nil {
 		panic("cluster: " + err.Error()) // all three are non-nil above
 	}
-	n := &Node{
-		Name:      name,
-		Sys:       sys,
-		rt:        rt,
-		estimates: map[int]event.Time{},
-		runningID: -1,
-		estSched:  sched.NewGlobal(),
-		estCache:  map[string]event.Time{},
-	}
-	n.rt.OnStart = func(b *runtime.Batch, at event.Time) {
-		n.runningID, n.runStart = b.ID, at
-	}
-	n.rt.OnComplete = func(res runtime.BatchResult, err error) {
-		n.busy += res.Completed - res.Start
-		n.predicted -= n.estimates[res.ID]
-		delete(n.estimates, res.ID)
-		n.runningID = -1
-		if n.onResult != nil {
-			n.onResult(n, res, err)
-		}
-	}
+	n.rt = rt
 	return n
 }
 
-// newView builds a dispatcher-side proxy of a node: the same scheduling
-// system (so cost estimates agree with the real node) but no runtime.
-// The sharded dispatcher routes against views — mirrors of remote node
-// state it may legally read at hub time — and the policies cannot tell
-// a view from a live node.
+// newView builds a hub-side proxy of a node: the same scheduling system
+// (so cost estimates agree with the real node) but no runtime. Hubs
+// route against views — mirrors of remote node state they may legally
+// read at hub time — and the policies cannot tell a view from a live
+// node.
 func newView(cfg NodeConfig) *Node {
 	name := cfg.Name
 	if name == "" {
@@ -255,14 +219,9 @@ func newView(cfg NodeConfig) *Node {
 	}
 }
 
-// Outstanding returns the number of admitted but unfinished batches.
-// Views (no runtime) count their bookings instead.
-func (n *Node) Outstanding() int {
-	if n.rt == nil {
-		return n.queued
-	}
-	return n.rt.Outstanding()
-}
+// Outstanding returns the number of admitted but unfinished batches the
+// hub has booked against this node.
+func (n *Node) Outstanding() int { return n.queued }
 
 // PredictedDrain estimates how long from now the node needs to finish
 // everything it has already accepted: the sum of the cost-model
@@ -344,16 +303,4 @@ func batchKey(jobs []*sched.Job) string {
 		fmt.Fprintf(&sb, "%d:%s|", j.ID, j.Name)
 	}
 	return sb.String()
-}
-
-// accept admits a batch: the estimate is booked against the node and
-// the batch enters the runtime queue at the current simulated time.
-func (n *Node) accept(b *runtime.Batch) {
-	est := n.EstimateCost(b.Jobs)
-	n.estimates[b.ID] = est
-	n.predicted += est
-	n.accepted++
-	if err := n.rt.Enqueue(b); err != nil {
-		panic("cluster: " + err.Error()) // batches are validated at Submit
-	}
 }

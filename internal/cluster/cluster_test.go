@@ -38,8 +38,13 @@ func mkBatch(id int, at event.Time, n int, targets ...isa.Target) *runtime.Batch
 
 func fullNode(name string) NodeConfig { return NodeConfig{Name: name, Targets: isa.Targets} }
 
+// newFleet builds a one-region fleet on one sim worker.
+func newFleet(p Policy, adm Admission, cfgs ...NodeConfig) *ShardedDispatcher {
+	return NewShardedDispatcher(p, adm, ShardConfig{Workers: 1}, cfgs...)
+}
+
 func TestRoundRobinSpreadsEvenly(t *testing.T) {
-	d := NewDispatcher(NewRoundRobin(), Admission{}, fullNode("a"), fullNode("b"))
+	d := newFleet(NewRoundRobin(), Admission{}, fullNode("a"), fullNode("b"))
 	// Sparse arrivals: every node is always eligible, so the rotation is
 	// exact.
 	for i := 0; i < 6; i++ {
@@ -57,7 +62,7 @@ func TestRoundRobinSpreadsEvenly(t *testing.T) {
 }
 
 func TestLeastOutstandingPrefersIdleNode(t *testing.T) {
-	d := NewDispatcher(NewLeastOutstanding(), Admission{}, fullNode("a"), fullNode("b"))
+	d := newFleet(NewLeastOutstanding(), Admission{}, fullNode("a"), fullNode("b"))
 	// A burst at t=0: batches must alternate between the nodes rather
 	// than pile onto the first.
 	for i := 0; i < 4; i++ {
@@ -73,8 +78,8 @@ func TestLeastOutstandingPrefersIdleNode(t *testing.T) {
 
 // slowFleet is a 2-node fleet where node "slow" only has the 20 MHz
 // ReRAM layer — two orders of magnitude slower on the same cycles.
-func slowFleet(p Policy, adm Admission) *Dispatcher {
-	return NewDispatcher(p, adm,
+func slowFleet(p Policy, adm Admission) *ShardedDispatcher {
+	return newFleet(p, adm,
 		NodeConfig{Name: "fast", Targets: []isa.Target{isa.SRAM}},
 		NodeConfig{Name: "slow", Targets: []isa.Target{isa.ReRAM}},
 	)
@@ -98,7 +103,7 @@ func TestPredictedCostAvoidsSlowNode(t *testing.T) {
 func TestPredictedCostBeatsRoundRobin(t *testing.T) {
 	run := func(p Policy) Summary {
 		rng := rand.New(rand.NewSource(7))
-		d := NewDispatcher(p, Admission{},
+		d := newFleet(p, Admission{},
 			NodeConfig{Name: "full", Targets: isa.Targets},
 			NodeConfig{Name: "sram-dram", Targets: []isa.Target{isa.SRAM, isa.DRAM}},
 			NodeConfig{Name: "dram-reram", Targets: []isa.Target{isa.DRAM, isa.ReRAM}},
@@ -134,7 +139,7 @@ func TestAdmissionShedsOnOverflow(t *testing.T) {
 
 func TestAdmissionRetriesRecoverSheddableLoad(t *testing.T) {
 	mk := func(adm Admission) Summary {
-		d := NewDispatcher(NewLeastOutstanding(), adm,
+		d := newFleet(NewLeastOutstanding(), adm,
 			NodeConfig{Name: "a", Targets: []isa.Target{isa.SRAM}})
 		for i := 0; i < 4; i++ {
 			d.Submit(mkBatch(i, 0, 2))
@@ -152,7 +157,7 @@ func TestAdmissionRetriesRecoverSheddableLoad(t *testing.T) {
 }
 
 func TestUnrunnableBatchIsShed(t *testing.T) {
-	d := NewDispatcher(NewRoundRobin(), Admission{},
+	d := newFleet(NewRoundRobin(), Admission{},
 		NodeConfig{Name: "reram-only", Targets: []isa.Target{isa.ReRAM}})
 	// The batch only compiles for SRAM: no node can ever run it.
 	d.Submit(mkBatch(0, 0, 2, isa.SRAM))
@@ -163,7 +168,7 @@ func TestUnrunnableBatchIsShed(t *testing.T) {
 }
 
 func TestSramOnlyBatchRoutesToSramNode(t *testing.T) {
-	d := NewDispatcher(NewRoundRobin(), Admission{},
+	d := newFleet(NewRoundRobin(), Admission{},
 		NodeConfig{Name: "reram-only", Targets: []isa.Target{isa.ReRAM}},
 		NodeConfig{Name: "sram-only", Targets: []isa.Target{isa.SRAM}})
 	for i := 0; i < 4; i++ {
@@ -192,7 +197,7 @@ func TestCapacityScale(t *testing.T) {
 func TestFleetDeterministic(t *testing.T) {
 	run := func() string {
 		rng := rand.New(rand.NewSource(11))
-		d := NewDispatcher(NewPredictedCost(), Admission{QueueCap: 2, MaxRetries: 3},
+		d := newFleet(NewPredictedCost(), Admission{QueueCap: 2, MaxRetries: 3},
 			fullNode("a"), NodeConfig{Name: "b", Targets: []isa.Target{isa.DRAM, isa.ReRAM}})
 		for i, at := range PoissonArrivals(rng, 12, 2*event.Millisecond) {
 			d.Submit(&runtime.Batch{ID: i, Arrival: at, Jobs: workload.RandomJobs(rng, 2, i*10)})
@@ -235,7 +240,7 @@ func TestPolicyByName(t *testing.T) {
 }
 
 func TestSummaryString(t *testing.T) {
-	d := NewDispatcher(NewRoundRobin(), Admission{}, fullNode("a"))
+	d := newFleet(NewRoundRobin(), Admission{}, fullNode("a"))
 	d.Submit(mkBatch(0, 0, 2))
 	out := d.Run().String()
 	for _, want := range []string{"policy=roundrobin", "p99=", "util=", "shed=0"} {
@@ -247,8 +252,8 @@ func TestSummaryString(t *testing.T) {
 
 func TestPanics(t *testing.T) {
 	for i, f := range []func(){
-		func() { NewDispatcher(nil, Admission{}, fullNode("a")) },
-		func() { NewDispatcher(NewRoundRobin(), Admission{}) },
+		func() { newFleet(nil, Admission{}, fullNode("a")) },
+		func() { newFleet(NewRoundRobin(), Admission{}) },
 		func() { NewNode(&event.Engine{}, NodeConfig{}) },
 	} {
 		func() {
@@ -265,7 +270,7 @@ func TestPanics(t *testing.T) {
 // TestSubmitErrors: malformed arrivals are rejected with errors, not
 // panics — they come from callers, not from bugs in the fabric.
 func TestSubmitErrors(t *testing.T) {
-	d := NewDispatcher(NewRoundRobin(), Admission{}, fullNode("a"))
+	d := newFleet(NewRoundRobin(), Admission{}, fullNode("a"))
 	if err := d.Submit(&runtime.Batch{ID: 0}); err == nil {
 		t.Error("empty batch accepted")
 	}

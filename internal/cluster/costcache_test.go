@@ -45,7 +45,7 @@ func TestEstimateCacheTransparent(t *testing.T) {
 func TestPredictedCostDeterministicWithCache(t *testing.T) {
 	run := func() string {
 		p, _ := PolicyByName("predicted-cost")
-		d := NewDispatcher(p, Admission{MaxRetries: 3},
+		d := newFleet(p, Admission{MaxRetries: 3},
 			fullNode("full"),
 			NodeConfig{Name: "slow", Targets: isa.Targets, Scale: 0.25})
 		rng := rand.New(rand.NewSource(11))
@@ -60,9 +60,10 @@ func TestPredictedCostDeterministicWithCache(t *testing.T) {
 		t.Fatalf("predicted-cost fleet not deterministic:\n%s\nvs\n%s", a, b)
 	}
 	// The admission flow estimates each accepted batch at least twice
-	// (Pick + booking), so a run of this size must see real cache traffic.
+	// (Pick + booking) against the hub's views, so a run of this size
+	// must see real cache traffic there.
 	p, _ := PolicyByName("predicted-cost")
-	d := NewDispatcher(p, Admission{},
+	d := newFleet(p, Admission{},
 		fullNode("full"),
 		NodeConfig{Name: "slow", Targets: isa.Targets, Scale: 0.25})
 	rng := rand.New(rand.NewSource(11))
@@ -72,8 +73,8 @@ func TestPredictedCostDeterministicWithCache(t *testing.T) {
 	}
 	d.Run()
 	var hits int64
-	for _, n := range d.Nodes() {
-		h, _ := n.EstCacheStats()
+	for _, v := range d.regions[0].views {
+		h, _ := v.EstCacheStats()
 		hits += h
 	}
 	if hits == 0 {

@@ -5,23 +5,20 @@ import (
 	"fmt"
 
 	"mlimp/internal/event"
+	"mlimp/internal/event/parsim"
 	"mlimp/internal/fault"
 	"mlimp/internal/runtime"
 )
 
 // Fabric-fault wiring errors. Hub crashes and edge faults degrade the
-// dispatch fabric itself, so they only make sense on fabrics that have
-// one: EnableFaults rejects plans a given dispatcher cannot honour with
-// these named errors (the CLIs surface them at exit 2).
+// dispatch fabric itself: EnableFaults rejects plans a given fleet
+// cannot honour with these named errors (the CLIs surface them at
+// exit 2).
 var (
-	// ErrHubCrashNeedsTree rejects HubCrash windows on the single-engine
-	// dispatcher and the flat sharded fabric — there is no regional hub
-	// to crash, and the flat hub is the observer the determinism
-	// contract hangs off.
+	// ErrHubCrashNeedsTree rejects HubCrash windows on a one-region
+	// fleet — with no peer hub to take over, its only hub is the
+	// observer the determinism contract hangs off.
 	ErrHubCrashNeedsTree = errors.New("cluster: hub crashes need a hub tree (Hubs > 1)")
-	// ErrEdgeFaultNeedsFabric rejects EdgeFaults on the single-engine
-	// dispatcher, which has no message fabric to degrade.
-	ErrEdgeFaultNeedsFabric = errors.New("cluster: edge faults need the sharded fabric")
 	// ErrEdgeFaultNeedsDeadline rejects lossy edge faults without a
 	// dispatch deadline: a dropped dispatch or completion echo is only
 	// recovered by the deadline -> re-dispatch path, so running drops
@@ -32,15 +29,15 @@ var (
 	ErrUnknownEdgeEndpoint = errors.New("cluster: edge fault names unknown shard")
 )
 
-// Failure-aware serving. With a FaultConfig enabled, the dispatcher
-// layers four recovery mechanisms over the basic admission/routing
-// fabric:
+// Failure-aware serving. With a FaultConfig enabled, every hub layers
+// four recovery mechanisms over the basic admission/routing fabric:
 //
 //   - a fault plan (internal/fault) drives deterministic node crashes,
 //     revivals, and array-capacity faults in simulated time;
-//   - heartbeat liveness: each node beats while up; a monitor declares
-//     a node dead after HeartbeatMiss silent periods, evicts its
-//     stranded batches, and re-dispatches them elsewhere;
+//   - heartbeat liveness: the hub pings each node every period and live
+//     nodes pong; a monitor declares a node dead after HeartbeatMiss
+//     silent periods, evicts its stranded batches, and re-dispatches
+//     them elsewhere;
 //   - per-dispatch deadlines: a batch that has not completed Deadline
 //     after acceptance is aborted and re-dispatched;
 //   - per-node circuit breakers: BreakerK consecutive failures eject a
@@ -62,7 +59,7 @@ const (
 	DefaultHeartbeatMiss   = 3
 )
 
-// FaultConfig switches the dispatcher into failure-aware mode.
+// FaultConfig switches the fleet into failure-aware mode.
 type FaultConfig struct {
 	// Plan is the deterministic fault schedule; nil means no injected
 	// crashes or array faults (deadlines and ExecError still apply).
@@ -209,13 +206,19 @@ func (br *breaker) OnFailure(now event.Time) {
 	}
 }
 
-// --- dispatcher wiring ---
+// --- fleet wiring ---
 
-// EnableFaults switches the dispatcher into failure-aware mode: it
-// validates and schedules the fault plan, installs the execution-error
-// hook on every node, arms the per-node breakers, and starts the
-// heartbeat/monitor loops. Call once, before Run.
-func (d *Dispatcher) EnableFaults(fc FaultConfig) error {
+// EnableFaults switches the fleet into failure-aware mode: it validates
+// the fault plan against the fleet, then arms every region — per-view
+// breakers, the node-side execution-error hook, the region's share of
+// the plan, and ping/pong liveness. The mechanisms route through the
+// mailboxes: the plan is seeded into the node shards (capacity faults
+// mirrored into the hub's views at the same instants), execution-error
+// coins flip node-side with the attempt index carried in the dispatch
+// message, and liveness is hub ping -> node pong. Fabric faults (hub
+// crashes, edge faults) additionally arm suspicion and takeover between
+// peer hubs (tree.go). Call once, before Run.
+func (d *ShardedDispatcher) EnableFaults(fc FaultConfig) error {
 	if d.faults != nil {
 		return fmt.Errorf("cluster: faults already enabled")
 	}
@@ -223,169 +226,284 @@ func (d *Dispatcher) EnableFaults(fc FaultConfig) error {
 		return err
 	}
 	if fc.Plan != nil {
-		if len(fc.Plan.HubCrashes) > 0 {
-			return fmt.Errorf("%w (single-engine dispatcher)", ErrHubCrashNeedsTree)
-		}
-		if len(fc.Plan.EdgeFaults) > 0 {
-			return fmt.Errorf("%w (single-engine dispatcher)", ErrEdgeFaultNeedsFabric)
-		}
-	}
-	byName := map[string]*Node{}
-	for _, n := range d.nodes {
-		byName[n.Name] = n
-	}
-	if fc.Plan != nil {
-		for _, f := range fc.Plan.ArrayFaults {
-			if _, ok := byName[f.Node]; !ok {
-				return fmt.Errorf("cluster: array fault names unknown node %q", f.Node)
-			}
-		}
-		for _, c := range fc.Plan.Crashes {
-			if _, ok := byName[c.Node]; !ok {
-				return fmt.Errorf("cluster: crash names unknown node %q", c.Node)
-			}
+		if err := d.checkPlan(fc); err != nil {
+			return err
 		}
 	}
 	d.faults = &fc
 	execFn := fc.execFn()
-	for _, n := range d.nodes {
-		n.breaker = newBreaker(fc.breakerK(), fc.breakerCooldown())
-		if execFn != nil {
-			node := n
-			node.rt.ExecError = func(b *runtime.Batch) error {
-				tr := d.trk[b.ID]
-				if tr == nil {
-					return nil
-				}
-				if execFn(b.ID, tr.attempts-1) {
+	for _, r := range d.regions {
+		r.enableFaults(execFn)
+	}
+	d.armFabricFaults()
+	return nil
+}
+
+// checkPlan resolves the plan's names against the fleet — node names
+// for crashes and array faults, regions for hub crashes, shards for
+// edge faults — and schedules the edge faults on the driver.
+func (d *ShardedDispatcher) checkPlan(fc FaultConfig) error {
+	shards := map[string]*parsim.Shard{}
+	nodes := map[string]bool{}
+	for _, r := range d.regions {
+		shards[fmt.Sprintf("hub%d", r.idx)] = r.hub
+		for _, sn := range r.sns {
+			shards[sn.node.Name] = sn.shard
+			nodes[sn.node.Name] = true
+		}
+	}
+	for _, f := range fc.Plan.ArrayFaults {
+		if !nodes[f.Node] {
+			return fmt.Errorf("cluster: array fault names unknown node %q", f.Node)
+		}
+	}
+	for _, c := range fc.Plan.Crashes {
+		if !nodes[c.Node] {
+			return fmt.Errorf("cluster: crash names unknown node %q", c.Node)
+		}
+	}
+	for _, h := range fc.Plan.HubCrashes {
+		if len(d.regions) == 1 {
+			return fmt.Errorf("%w (one region)", ErrHubCrashNeedsTree)
+		}
+		if h.Region >= len(d.regions) {
+			return fmt.Errorf("%w: region %d of %d regions", fault.ErrBadHubRegion, h.Region, len(d.regions))
+		}
+	}
+	return wireEdgeFaults(d.drv, shards, fc)
+}
+
+// enableFaults arms one region: breakers on its views, the
+// execution-error hook on its nodes, its share of the fault plan, and
+// its liveness loops. The ExecError coin is a pure function of (Seed,
+// batch, attempt), so which region flips it never changes a draw.
+func (r *region) enableFaults(execFn func(batchID, attempt int) bool) {
+	fc := r.f.faults
+	for _, v := range r.views {
+		v.breaker = newBreaker(fc.breakerK(), fc.breakerCooldown())
+	}
+	if execFn != nil {
+		for _, sn := range r.sns {
+			name := sn.node.Name
+			sn.node.rt.ExecError = func(b *runtime.Batch) error {
+				attempt := sn.attempts[b.ID]
+				if execFn(b.ID, attempt) {
 					return fmt.Errorf("cluster: batch %d failed on %s (attempt %d)",
-						b.ID, node.Name, tr.attempts-1)
+						b.ID, name, attempt)
 				}
 				return nil
 			}
 		}
 	}
-	d.schedulePlan(byName)
-	d.startHeartbeats()
+	r.schedulePlan()
+	r.startLiveness()
+}
+
+// wireEdgeFaults resolves the plan's edge faults against the fabric's
+// shards — hubs under "hub<R>", nodes under their node names — and
+// schedules them on the parsim driver. Lossy faults require a dispatch
+// deadline: dropped dispatches and completion echoes are only recovered
+// by the deadline -> re-dispatch path.
+func wireEdgeFaults(drv *parsim.Driver, shards map[string]*parsim.Shard, fc FaultConfig) error {
+	for _, e := range fc.Plan.EdgeFaults {
+		src, ok := shards[e.From]
+		if !ok {
+			return fmt.Errorf("%w (%q)", ErrUnknownEdgeEndpoint, e.From)
+		}
+		dst, ok := shards[e.To]
+		if !ok {
+			return fmt.Errorf("%w (%q)", ErrUnknownEdgeEndpoint, e.To)
+		}
+		if e.DropProb > 0 && fc.Deadline <= 0 {
+			return fmt.Errorf("%w (%s->%s drop=%.2f)", ErrEdgeFaultNeedsDeadline, e.From, e.To, e.DropProb)
+		}
+		drv.AddEdgeFault(src, dst, parsim.EdgeFault{
+			At: e.At, Until: e.Until, DropProb: e.DropProb, Delay: e.Delay,
+			Seed: fc.Plan.Seed,
+		})
+	}
 	return nil
 }
 
-// schedulePlan turns the fault plan into engine events.
-func (d *Dispatcher) schedulePlan(byName map[string]*Node) {
-	if d.faults.Plan == nil {
+// schedulePlan seeds this region's share of the fault plan into its
+// node shards' engines — crashes and capacity faults are local facts
+// that happen at exact node times — and mirrors capacity faults into
+// the hub's views at the same instants, so routing estimates degrade in
+// lockstep with the nodes (a real dispatcher would learn of them via a
+// control-plane notification). Crashes are deliberately not mirrored:
+// the hub's belief about liveness comes only from missed pongs, as it
+// would in production.
+func (r *region) schedulePlan() {
+	plan := r.f.faults.Plan
+	if plan == nil {
 		return
 	}
-	for _, f := range d.faults.Plan.ArrayFaults {
-		f, n := f, byName[f.Node]
-		d.eng.At(f.At, func() {
+	home := map[string]int{}
+	for i, sn := range r.sns {
+		home[sn.node.Name] = i
+	}
+	for _, f := range plan.ArrayFaults {
+		idx, ok := home[f.Node]
+		if !ok {
+			continue
+		}
+		sn, v := r.sns[idx], r.views[idx]
+		n := sn.node
+		sn.shard.Engine().At(f.At, func() {
 			n.degrade(f.Target, f.Magnitude(n.Sys.HealthyCapacity(f.Target)))
 		})
+		r.hub.Engine().At(f.At, func() {
+			v.degrade(f.Target, f.Magnitude(v.Sys.HealthyCapacity(f.Target)))
+		})
 		if f.Transient() {
-			d.eng.At(f.Recover, func() {
+			sn.shard.Engine().At(f.Recover, func() {
 				n.restore(f.Target, f.Magnitude(n.Sys.HealthyCapacity(f.Target)))
+			})
+			r.hub.Engine().At(f.Recover, func() {
+				v.restore(f.Target, f.Magnitude(v.Sys.HealthyCapacity(f.Target)))
 			})
 		}
 	}
-	for _, c := range d.faults.Plan.Crashes {
-		c, n := c, byName[c.Node]
-		d.eng.At(c.At, n.crash)
+	for _, c := range plan.Crashes {
+		idx, ok := home[c.Node]
+		if !ok {
+			continue
+		}
+		sn := r.sns[idx]
+		sn.shard.Engine().At(c.At, sn.node.crash)
 		if c.Transient() {
-			d.eng.At(c.Recover, func() { n.revive(d.eng.Now()) })
+			sn.shard.Engine().At(c.Recover, func() { sn.node.revive(sn.shard.Engine().Now()) })
 		}
 	}
 }
 
-// startHeartbeats arms the per-node beat loops and the fleet monitor.
-// Both re-arm only while work remains outstanding (or is still to
-// arrive), so the engine drains once the run settles.
-func (d *Dispatcher) startHeartbeats() {
-	period := d.faults.heartbeat()
-	var beat func()
-	beat = func() {
-		for _, n := range d.nodes {
-			if !n.down {
-				n.lastBeat = d.eng.Now()
+// startLiveness arms the hub's ping and monitor loops: the hub pings
+// every period, live nodes pong, and the monitor declares a node dead
+// when its last pong is older than the miss budget plus one ping
+// round-trip of slack. Both loops re-arm only while work remains
+// outstanding (or is still to arrive), so the run drains once it
+// settles.
+func (r *region) startLiveness() {
+	period := r.f.faults.heartbeat()
+	var ping func()
+	ping = func() {
+		// A frozen hub sends no pings and ignores incoming pongs; the
+		// loop itself keeps re-arming so liveness resumes at revival
+		// (the revival sweep resets every view's lastBeat first).
+		if !r.down {
+			for i, sn := range r.sns {
+				r.hub.SendAfter(sn.shard, r.f.hop, func() {
+					if sn.node.down {
+						return
+					}
+					sn.shard.SendAfter(r.hub, r.f.hop, func() {
+						if !r.down {
+							r.views[i].lastBeat = r.hub.Engine().Now()
+						}
+					})
+				})
 			}
 		}
-		if d.ticking() {
-			d.eng.After(period, beat)
+		if r.ticking() {
+			r.hub.Engine().After(period, ping)
 		}
 	}
 	var monitor func()
 	monitor = func() {
-		d.monitorOnce()
-		if d.ticking() {
-			d.eng.After(period, monitor)
+		if !r.down {
+			r.monitorOnce()
+		}
+		if r.ticking() {
+			r.hub.Engine().After(period, monitor)
 		}
 	}
-	d.eng.After(period, beat)
-	d.eng.After(period, monitor)
+	r.hub.Engine().After(period, ping)
+	r.hub.Engine().After(period, monitor)
 }
 
-// ticking reports whether the liveness loops must keep running: work is
-// outstanding, or arrivals are still due.
-func (d *Dispatcher) ticking() bool {
-	return d.pending > 0 || d.eng.Now() < d.lastArrival
-}
-
-// monitorOnce sweeps the fleet: nodes silent for HeartbeatMiss periods
-// are declared dead and drained; declared-dead nodes that beat again
-// rejoin the routing set.
-func (d *Dispatcher) monitorOnce() {
-	now := d.eng.Now()
-	limit := event.Time(d.faults.heartbeatMiss()) * d.faults.heartbeat()
-	for _, n := range d.nodes {
-		silent := now - n.lastBeat
-		if !n.detectedDown && silent > limit {
-			n.detectedDown = true
-			for _, b := range n.rt.Evict() {
-				n.abandon(b.ID)
-				tr := d.trk[b.ID]
+// monitorOnce sweeps the views: nodes whose pongs went silent past the
+// limit are declared dead, their bookings released in booking order
+// (deterministic — never a map walk) and re-dispatched, and an evict
+// message tells the node shard to drop the stranded work. A view that
+// pongs again rejoins routing.
+func (r *region) monitorOnce() {
+	now := r.hub.Engine().Now()
+	fc := r.f.faults
+	limit := event.Time(fc.heartbeatMiss())*fc.heartbeat() + 2*r.f.hop
+	for i, v := range r.views {
+		silent := now - v.lastBeat
+		if !v.detectedDown && silent > limit {
+			v.detectedDown = true
+			sn := r.sns[i]
+			r.hub.SendAfter(sn.shard, r.f.hop, func() {
+				for _, b := range sn.node.rt.Evict() {
+					sn.forget(b.ID)
+				}
+			})
+			ids := append([]int(nil), r.bookings[i]...)
+			for _, id := range ids {
+				tr := r.trk[id]
+				r.release(i, id)
 				if tr == nil || tr.done {
 					continue
 				}
-				d.redispatch(tr, n)
+				tr.gen++ // invalidate the booking's deadline and echoes
+				r.redispatch(tr, v)
 			}
-		} else if n.detectedDown && silent <= limit {
-			n.detectedDown = false
+		} else if v.detectedDown && silent <= limit {
+			v.detectedDown = false
 		}
 	}
 }
 
-// onDeadline fires when an accepted batch's completion deadline lapses.
-// A stale generation means the batch already completed, failed, or was
-// re-dispatched — only the booking this timer was armed for counts.
-func (d *Dispatcher) onDeadline(tr *tracker, gen int) {
+// onDeadline fires on the hub when a booking's completion deadline
+// lapses without an accepted completion echo. A stale generation means
+// the batch already completed, failed, or was re-dispatched — only the
+// booking this timer was armed for counts.
+func (r *region) onDeadline(tr *tracker, gen int) {
+	if r.down {
+		// Skip, don't park: the booking is still in the ledger, so the
+		// revival sweep will abort and re-dispatch it anyway.
+		return
+	}
 	if tr.done || tr.gen != gen {
 		return
 	}
-	n := tr.node
-	d.timeouts++
-	n.failures++
-	n.breaker.OnFailure(d.eng.Now())
-	n.rt.Abort(tr.b.ID)
-	n.abandon(tr.b.ID)
-	d.redispatch(tr, n)
+	idx, v := tr.idx, r.views[tr.idx]
+	r.timeouts++
+	v.failures++
+	v.breaker.OnFailure(r.hub.Engine().Now())
+	r.abortSend(r.sns[idx], tr.b.ID)
+	r.release(idx, tr.b.ID)
+	r.redispatch(tr, v)
 }
 
 // redispatch sends a failed batch back through routing, avoiding the
 // node it just failed on; the budget is MaxRedispatch, after which the
 // batch is dead-lettered.
-func (d *Dispatcher) redispatch(tr *tracker, avoid *Node) {
-	if tr.redispatches >= d.faults.maxRedispatch() {
-		if d.finish(tr) {
-			d.deadLettered++
-			if c := bumpTenant(&d.tenants, tr.b.Tenant); c != nil {
-				c.deadLettered++
-			}
-		}
+func (r *region) redispatch(tr *tracker, avoid *Node) {
+	if tr.redispatches >= r.f.faults.maxRedispatch() {
+		r.settle(tr, OutcomeDeadLettered, "", runtime.BatchResult{})
 		return
 	}
 	tr.redispatches++
-	d.redispatches++
-	if c := bumpTenant(&d.tenants, tr.b.Tenant); c != nil {
+	r.redispatches++
+	if c := bumpTenant(&r.tenants, tr.b.Tenant); c != nil {
 		c.redispatches++
 	}
 	tr.gen++ // invalidate any armed deadline for the old booking
-	d.dispatch(tr.b, 0, avoid)
+	r.dispatch(tr.b, 0, avoid)
+}
+
+// mergedHealth classifies a node combining ground truth held by the
+// node shard (crash flag, lost arrays) with the hub's belief (liveness,
+// breaker state).
+func mergedHealth(real, view *Node) Health {
+	if real.down || view.detectedDown {
+		return DownHealth
+	}
+	if real.arraysLost > 0 || (view.breaker != nil && view.breaker.state != breakerClosed) {
+		return Degraded
+	}
+	return Healthy
 }

@@ -33,36 +33,8 @@ func conserved(t *testing.T, s Summary) {
 	}
 }
 
-// chaosRun drives a 3-node fleet through a crash-and-revive, a
-// permanent kill, a transient array fault, exec errors, and deadlines.
-func chaosRun(policy Policy) Summary {
-	d := NewDispatcher(policy, Admission{MaxRetries: 6},
-		fullNode("a"), fullNode("b"), fullNode("c"))
-	plan := &fault.Plan{
-		Seed: 99,
-		ArrayFaults: []fault.ArrayFault{
-			// Half of a's SRAM drops out at 500µs and heals at 3ms.
-			{Node: "a", Target: isa.SRAM, Fraction: 0.5, At: 500 * event.Microsecond, Recover: 3 * event.Millisecond},
-		},
-		Crashes: []fault.Crash{
-			{Node: "b", At: event.Millisecond, Recover: 4 * event.Millisecond}, // kill + revive mid-drain
-			{Node: "c", At: 2 * event.Millisecond},                             // permanent kill
-		},
-		ExecErrorProb: 0.15,
-	}
-	if err := d.EnableFaults(FaultConfig{Plan: plan, Deadline: 50 * event.Millisecond}); err != nil {
-		panic(err)
-	}
-	for i := 0; i < 30; i++ {
-		if err := d.Submit(mkBatch(i, event.Time(i)*200*event.Microsecond, 4)); err != nil {
-			panic(err)
-		}
-	}
-	return d.Run()
-}
-
 func TestChaosKillReviveMidDrain(t *testing.T) {
-	s := chaosRun(NewRoundRobin())
+	s := chaosSharded(NewRoundRobin(), 1)
 	conserved(t, s)
 	if s.Completed == 0 {
 		t.Fatal("chaos run completed nothing")
@@ -105,7 +77,7 @@ func TestChaosDeterministic(t *testing.T) {
 			pol, _ := PolicyByName(p)
 			return pol
 		}
-		a, b := chaosRun(mk()).String(), chaosRun(mk()).String()
+		a, b := chaosSharded(mk(), 1).String(), chaosSharded(mk(), 1).String()
 		if a != b {
 			t.Errorf("policy %s chaos replay diverged:\n%s\nvs\n%s", p, a, b)
 		}
@@ -118,7 +90,7 @@ func TestChaosConservationGeneratedPlans(t *testing.T) {
 	for _, pname := range PolicyNames() {
 		for seed := int64(1); seed <= 3; seed++ {
 			policy, _ := PolicyByName(pname)
-			d := NewDispatcher(policy, Admission{MaxRetries: 4},
+			d := newFleet(policy, Admission{MaxRetries: 4},
 				fullNode("a"), fullNode("b"), fullNode("c"))
 			plan, err := fault.Generate(seed, fault.GenConfig{
 				Nodes:              []string{"a", "b", "c"},
@@ -148,7 +120,7 @@ func TestChaosConservationGeneratedPlans(t *testing.T) {
 // deadline is aborted and re-dispatched to a faster node, completing
 // there.
 func TestDeadlineRedispatch(t *testing.T) {
-	d := NewDispatcher(pickNamed{"slow"}, Admission{},
+	d := newFleet(pickNamed{"slow"}, Admission{},
 		NodeConfig{Name: "fast", Targets: []isa.Target{isa.SRAM}},
 		NodeConfig{Name: "slow", Targets: []isa.Target{isa.ReRAM}, Scale: 0.001},
 	)
@@ -197,7 +169,7 @@ func TestDeadlineRedispatch(t *testing.T) {
 // node's breaker; after the cooldown a half-open probe succeeds and the
 // node is reinstated.
 func TestCircuitBreakerEjectsAndRecovers(t *testing.T) {
-	d := NewDispatcher(pickNamed{"flaky"}, Admission{},
+	d := newFleet(pickNamed{"flaky"}, Admission{},
 		fullNode("flaky"), fullNode("good"))
 	fc := FaultConfig{
 		// Batches 0-2 fail their first attempt wherever it lands (it
@@ -245,7 +217,7 @@ func TestCircuitBreakerEjectsAndRecovers(t *testing.T) {
 // layer; the node re-plans (capacity-keyed knee memo) and keeps
 // serving, then recovers.
 func TestArrayFaultForcesKneeResearch(t *testing.T) {
-	d := NewDispatcher(NewRoundRobin(), Admission{}, fullNode("solo"))
+	d := newFleet(NewRoundRobin(), Admission{}, fullNode("solo"))
 	n := d.Nodes()[0]
 	healthy := n.Sys.Layers[isa.SRAM].Capacity()
 	plan := &fault.Plan{ArrayFaults: []fault.ArrayFault{{
@@ -256,8 +228,8 @@ func TestArrayFaultForcesKneeResearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	sawDegraded := false
-	d.Engine().At(event.Millisecond, func() {
-		sawDegraded = n.Health() == Degraded
+	n.rt.Engine().At(event.Millisecond, func() {
+		sawDegraded = mergedHealth(n, n) == Degraded
 		if got := n.Sys.Layers[isa.SRAM].Capacity(); got >= healthy {
 			t.Errorf("capacity %d not degraded at 1ms", got)
 		}
@@ -282,28 +254,30 @@ func TestArrayFaultForcesKneeResearch(t *testing.T) {
 }
 
 // TestNodeHealthTransitions exercises the Health state machine off the
-// engine: crash → down, revive → healthy, degrade → degraded.
+// engine: crash → down, revive → healthy, degrade → degraded. The node
+// stands in as its own view, as if hub and node shared one engine.
 func TestNodeHealthTransitions(t *testing.T) {
 	n := NewNode(&event.Engine{}, fullNode("h"))
 	n.breaker = newBreaker(3, event.Millisecond)
-	if n.Health() != Healthy {
-		t.Fatalf("fresh node health = %v", n.Health())
+	health := func() Health { return mergedHealth(n, n) }
+	if health() != Healthy {
+		t.Fatalf("fresh node health = %v", health())
 	}
 	n.degrade(isa.DRAM, 100)
-	if n.Health() != Degraded || n.ArraysLost() != 100 {
-		t.Errorf("after degrade: health=%v lost=%d", n.Health(), n.ArraysLost())
+	if health() != Degraded || n.ArraysLost() != 100 {
+		t.Errorf("after degrade: health=%v lost=%d", health(), n.ArraysLost())
 	}
 	n.crash()
-	if n.Health() != DownHealth {
-		t.Errorf("after crash: health=%v", n.Health())
+	if health() != DownHealth {
+		t.Errorf("after crash: health=%v", health())
 	}
 	n.revive(0)
-	if n.Health() != Degraded {
-		t.Errorf("after revive with lost arrays: health=%v", n.Health())
+	if health() != Degraded {
+		t.Errorf("after revive with lost arrays: health=%v", health())
 	}
 	n.restore(isa.DRAM, 100)
-	if n.Health() != Healthy {
-		t.Errorf("after restore: health=%v", n.Health())
+	if health() != Healthy {
+		t.Errorf("after restore: health=%v", health())
 	}
 	for _, h := range []Health{Healthy, Degraded, DownHealth} {
 		if h.String() == "" {
@@ -314,7 +288,7 @@ func TestNodeHealthTransitions(t *testing.T) {
 
 // TestEnableFaultsErrors: bad plans and unknown nodes are rejected.
 func TestEnableFaultsErrors(t *testing.T) {
-	d := NewDispatcher(NewRoundRobin(), Admission{}, fullNode("a"))
+	d := newFleet(NewRoundRobin(), Admission{}, fullNode("a"))
 	if err := d.EnableFaults(FaultConfig{Plan: &fault.Plan{ExecErrorProb: 2}}); err == nil {
 		t.Error("invalid plan accepted")
 	}
@@ -322,6 +296,11 @@ func TestEnableFaultsErrors(t *testing.T) {
 		Crashes: []fault.Crash{{Node: "ghost", At: event.Millisecond}},
 	}}); err == nil {
 		t.Error("crash on unknown node accepted")
+	}
+	if err := d.EnableFaults(FaultConfig{Plan: &fault.Plan{
+		ArrayFaults: []fault.ArrayFault{{Node: "hub0", Target: isa.SRAM, Arrays: 1, At: event.Millisecond}},
+	}}); err == nil {
+		t.Error("array fault on a hub accepted")
 	}
 	if err := d.EnableFaults(FaultConfig{}); err != nil {
 		t.Fatalf("empty config rejected: %v", err)

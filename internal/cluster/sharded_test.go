@@ -8,10 +8,10 @@ import (
 	"mlimp/internal/isa"
 )
 
-// chaosSharded mirrors chaosRun on the sharded dispatcher: the same
-// fault cascade — transient array fault, kill + revive, permanent kill,
-// exec errors, deadlines — driven through the mailbox fabric with the
-// given worker count.
+// chaosSharded drives a 3-node one-region fleet through a fault
+// cascade — transient array fault, kill + revive, permanent kill, exec
+// errors, deadlines — over the mailbox fabric with the given worker
+// count.
 func chaosSharded(policy Policy, workers int) Summary {
 	return newChaosSharded(policy, workers).Run()
 }

@@ -5,16 +5,15 @@ import (
 
 	"mlimp/internal/event"
 	"mlimp/internal/event/parsim"
-	"mlimp/internal/fault"
 	"mlimp/internal/runtime"
 )
 
-// Hierarchical sharded dispatch. A hub tree replaces the single global
-// hub with R regional sub-hubs, each an ordinary ShardedDispatcher over
-// a contiguous slice of the fleet: admission, routing, booking tokens,
-// deadlines, breakers, and liveness all run region-locally, exactly as
-// on the flat fabric, just over fewer views. What crosses regions is
-// deliberately thin and window-local:
+// Hierarchical dispatch. A fleet of R > 1 regions replaces the single
+// global hub with R regional sub-hubs, each over a contiguous slice of
+// the fleet: admission, routing, booking tokens, deadlines, breakers,
+// and liveness all run region-locally, exactly as on a one-region
+// fleet, just over fewer views. What crosses regions is deliberately
+// thin and window-local:
 //
 //   - arrivals are sprayed round-robin over the regions at Submit time
 //     (the Tesseract lesson: no coordinator shard on the fast path);
@@ -42,66 +41,12 @@ import (
 //
 // With faults enabled the tree trades window width back for
 // promptness: every edge is re-declared as a plain hop so completion
-// echoes, deadline aborts, and ping/pong liveness keep flat-fabric
+// echoes, deadline aborts, and ping/pong liveness keep one-region
 // timing within each region.
-type hubTree struct {
-	regions      []*ShardedDispatcher
-	fanout       int
-	summaryEvery event.Time
-	hop          event.Time
-	policy       Policy // fleet-level policy (regions hold clones)
-	onDone       func(DoneInfo)
-	faulty       bool
-	seen         map[int]bool // fleet-wide Submit/Inject batch-ID dedupe
-	spray        int          // round-robin arrival cursor
-	prepared     bool
-
-	// Fabric-fault schedule (enableFaults). hubCrashes is the plan's hub
-	// freeze windows — static facts every shard may read during the run:
-	// the spray, relay failover, and inject re-homing all route against
-	// the *planned* liveness of remote hubs, which is what keeps those
-	// decisions deterministic without cross-shard reads of live state.
-	// suspLimit is the beacon-silence bound after which a ring successor
-	// suspects its predecessor: miss*SummaryEvery + 2*hop (the pong-lag
-	// slack, same shape as node liveness).
-	hubCrashes []fault.HubCrash
-	suspLimit  event.Time
-}
-
-// regionState is one region's place in the tree: its index, its ring
-// neighbours, and its beliefs about sibling load. All fields are
-// hub-shard state of this region — only events on this region's hub
-// touch them.
-type regionState struct {
-	t          *hubTree
-	idx        int
-	beliefs    []int                // believed outstanding per region; -1 unknown
-	peers      []*ShardedDispatcher // ring neighbours, cached at prepare
-	lastBeacon int                  // last load value beaconed; -1 before the first
-	stolen     int                  // batches forwarded away (tests read this)
-	taken      int                  // batches received by forwarding
-
-	// Hub-crash state. down marks the hub frozen: lossy inputs (echoes,
-	// pongs, beacons) are lost, reliable inputs and local routing
-	// decisions park and replay in arrival order at revival.
-	down   bool
-	parked []func()
-
-	// Suspicion/takeover state (fault mode). peerLast is the last
-	// beacon-receipt instant per region; a ring predecessor silent past
-	// suspLimit is suspected, and this region — if it is the silent
-	// region's ring successor — adopts its nodes. Adoption is sticky
-	// for the run: beliefs may heal, but shared routing stays safe
-	// because every booking carries its home (sn.homes).
-	peerLast []event.Time
-	suspect  []bool
-	adopted  []bool
-	adoptees map[int][]adoptee // prebuilt per ring predecessor (prepare)
-
-	hubCrashes int // freeze windows applied to this hub
-	takeovers  int // ring-predecessor regions this hub adopted
-	rehomed    int // relays/injections re-homed through or away from this hub
-}
+//
+// A one-region fleet has no ring neighbours: it declares no edges (the
+// driver keeps uniform hop-wide windows), arms no beacons, and never
+// forwards, relays, suspects or adopts.
 
 // adoptee is one prebuilt takeover entry: a ring predecessor's shard
 // node (shared — the node shard serves both hubs' bookings, routed by
@@ -109,36 +54,6 @@ type regionState struct {
 type adoptee struct {
 	sn   *shardNode
 	view *Node
-}
-
-// newHubTree builds the regional sub-dispatchers on the shared driver.
-// Shard order is regions in index order, hub first then its nodes, so
-// shard IDs — and with them every canonical merge tie-break — are a
-// pure function of the topology.
-func newHubTree(drv *parsim.Driver, policy Policy, adm Admission, hop, summaryEvery event.Time,
-	hubs, fanout int, cfgs []NodeConfig) *ShardedDispatcher {
-	t := &hubTree{
-		fanout:       fanout,
-		summaryEvery: summaryEvery,
-		hop:          hop,
-		policy:       policy,
-		seen:         map[int]bool{},
-	}
-	for r := 0; r < hubs; r++ {
-		reg := newRegion(drv, clonePolicy(policy), adm, hop, cfgs[r*fanout:(r+1)*fanout])
-		beliefs := make([]int, hubs)
-		for i := range beliefs {
-			beliefs[i] = -1
-		}
-		reg.reg = &regionState{
-			t: t, idx: r, beliefs: beliefs, lastBeacon: -1,
-			peerLast: make([]event.Time, hubs),
-			suspect:  make([]bool, hubs),
-			adopted:  make([]bool, hubs),
-		}
-		t.regions = append(t.regions, reg)
-	}
-	return &ShardedDispatcher{drv: drv, hop: hop, policy: policy, adm: adm, tree: t}
 }
 
 // clonePolicy gives each region its own policy instance so stateful
@@ -156,43 +71,27 @@ func clonePolicy(p Policy) Policy {
 	return p
 }
 
-// submit validates fleet-wide and sprays the arrival onto the next
-// region in round-robin order — submission order, not batch ID, drives
-// the spray, so ID schemes don't bias region load.
-func (t *hubTree) submit(b *runtime.Batch) error {
-	if b == nil {
-		return runtime.ErrNilBatch
+// ring returns region idx's ring neighbours: none when R == 1, one when
+// R == 2, else right then left.
+func (d *ShardedDispatcher) ring(idx int) []*region {
+	n := len(d.regions)
+	if n == 1 {
+		return nil
 	}
-	if len(b.Jobs) == 0 {
-		return fmt.Errorf("%w (batch %d)", runtime.ErrEmptyBatch, b.ID)
+	right := d.regions[(idx+1)%n]
+	left := d.regions[(idx+n-1)%n]
+	if left == right {
+		return []*region{right}
 	}
-	if t.seen[b.ID] {
-		return fmt.Errorf("cluster: duplicate batch ID %d", b.ID)
-	}
-	t.seen[b.ID] = true
-	r := t.regions[t.spray%len(t.regions)]
-	t.spray++
-	// Plan-aware spray: an arrival aimed at a hub the fault plan has
-	// frozen at that instant re-sprays to the next planned-live region
-	// (ring order), so flash crowds during a failover land on hubs that
-	// can actually route them. Static plan facts only — deterministic.
-	if len(t.hubCrashes) > 0 && t.hubDownAt(r.reg.idx, b.Arrival) {
-		for i := 1; i < len(t.regions); i++ {
-			c := t.regions[(r.reg.idx+i)%len(t.regions)]
-			if !t.hubDownAt(c.reg.idx, b.Arrival) {
-				r = c
-				break
-			}
-		}
-	}
-	return r.Submit(b)
+	// Right first: the tie-break target when beliefs are equal/unknown.
+	return []*region{right, left}
 }
 
 // hubDownAt reports whether the fault plan freezes region ri's hub at
 // instant at. A pure function of the immutable plan, so any shard may
 // consult it mid-run.
-func (t *hubTree) hubDownAt(ri int, at event.Time) bool {
-	for _, h := range t.hubCrashes {
+func (d *ShardedDispatcher) hubDownAt(ri int, at event.Time) bool {
+	for _, h := range d.hubCrashes {
 		if h.Region == ri && h.At <= at && at < h.Recover {
 			return true
 		}
@@ -204,75 +103,26 @@ func (t *hubTree) hubDownAt(ri int, at event.Time) bool {
 // leaves live at the given instant — the done-relay and inject home
 // while region 0 is frozen. Falls back to 0 if the plan freezes every
 // hub at once (the messages then park on region 0 until it revives).
-func (t *hubTree) lowestLiveAt(at event.Time) int {
-	for ri := range t.regions {
-		if !t.hubDownAt(ri, at) {
+func (d *ShardedDispatcher) lowestLiveAt(at event.Time) int {
+	for ri := range d.regions {
+		if !d.hubDownAt(ri, at) {
 			return ri
 		}
 	}
 	return 0
 }
 
-// inject admits a mid-run batch from the hub-resident front end on
-// region 0's shard. While region 0's hub is frozen, ownership re-homes
-// to the lowest planned-live region over a reliable edge; otherwise the
-// batch enters region 0 exactly as before.
-func (t *hubTree) inject(b *runtime.Batch) error {
-	if b == nil {
-		return runtime.ErrNilBatch
-	}
-	if len(b.Jobs) == 0 {
-		return fmt.Errorf("%w (batch %d)", runtime.ErrEmptyBatch, b.ID)
-	}
-	if t.seen[b.ID] {
-		return fmt.Errorf("cluster: duplicate batch ID %d", b.ID)
-	}
-	t.seen[b.ID] = true
-	r0 := t.regions[0]
-	if r0.reg.down {
-		if li := t.lowestLiveAt(r0.hub.Engine().Now()); li != 0 {
-			dst := t.regions[li]
-			r0.reg.rehomed++
-			r0.hub.SendReliable(dst.hub, r0.hub.EarliestTo(dst.hub), func() { dst.receiveInject(b) })
-			return nil
-		}
-		// Every hub frozen: fall through — region 0 parks the dispatch.
-	}
-	return r0.Inject(b)
-}
-
 // receiveInject adopts a re-homed injection on the receiving region's
 // hub: full ownership (tracker, submitted count, tenant row), then a
 // normal local dispatch. The sender never created a tracker, so the
 // batch has exactly one owner fleet-wide.
-func (d *ShardedDispatcher) receiveInject(b *runtime.Batch) {
-	if rs := d.reg; rs != nil && rs.down {
-		rs.parked = append(rs.parked, func() { d.receiveInject(b) })
+func (r *region) receiveInject(b *runtime.Batch) {
+	if r.down {
+		r.parked = append(r.parked, func() { r.receiveInject(b) })
 		return
 	}
-	tr := &tracker{b: b}
-	d.trk[b.ID] = tr
-	d.pending++
-	d.submitted++
-	if c := bumpTenant(&d.tenants, b.Tenant); c != nil {
-		c.submitted++
-	}
-	if now := d.hub.Engine().Now(); now > d.lastArrival {
-		d.lastArrival = now
-	}
-	d.dispatch(b, 0, nil)
-}
-
-// ring returns the region's ring neighbours (one when R == 2).
-func (t *hubTree) ring(idx int) []*ShardedDispatcher {
-	n := len(t.regions)
-	right := t.regions[(idx+1)%n]
-	left := t.regions[(idx+n-1)%n]
-	if left == right {
-		return []*ShardedDispatcher{right}
-	}
-	// Right first: the tie-break target when beliefs are equal/unknown.
-	return []*ShardedDispatcher{right, left}
+	r.admit(b, r.hub.Engine().Now())
+	r.dispatch(b, 0, nil)
 }
 
 // tryForward implements overflow stealing, called from dispatch on the
@@ -282,21 +132,20 @@ func (t *hubTree) ring(idx int) []*ShardedDispatcher {
 // i.e. up to one SummaryEvery stale, which is exactly the summarised
 // state the tree is allowed to share. Returns false to fall back to
 // local retry/shed.
-func (d *ShardedDispatcher) tryForward(tr *tracker) bool {
-	rs := d.reg
-	if tr.fwds > 0 {
+func (r *region) tryForward(tr *tracker) bool {
+	if tr.fwds > 0 || len(r.peers) == 0 {
 		return false
 	}
 	// Lowest believed load wins; a known load beats an unknown one, and
 	// ties keep the right-hand neighbour (ring order).
-	peers := rs.peers
-	if rs.t.suspLimit > 0 {
+	peers := r.peers
+	if r.f.suspLimit > 0 {
 		// Never steal toward a hub believed dead: a forward is an
 		// ownership transfer, and a suspected hub may be frozen with its
 		// parked queue growing. Suspicion heals on the next beacon.
-		var live []*ShardedDispatcher
+		var live []*region
 		for _, p := range peers {
-			if !rs.suspect[p.reg.idx] {
+			if !r.suspect[p.idx] {
 				live = append(live, p)
 			}
 		}
@@ -306,22 +155,22 @@ func (d *ShardedDispatcher) tryForward(tr *tracker) bool {
 		peers = live
 	}
 	best := peers[0]
-	bestLoad := rs.beliefs[best.reg.idx]
+	bestLoad := r.beliefs[best.idx]
 	for _, p := range peers[1:] {
-		if l := rs.beliefs[p.reg.idx]; l >= 0 && (bestLoad < 0 || l < bestLoad) {
+		if l := r.beliefs[p.idx]; l >= 0 && (bestLoad < 0 || l < bestLoad) {
 			best, bestLoad = p, l
 		}
 	}
 	// Disown the batch before it travels: stale local closures (retry
 	// timers, deadline guards) find no tracker and fall through.
-	delete(d.trk, tr.b.ID)
-	d.pending--
-	rs.stolen++
+	delete(r.trk, tr.b.ID)
+	r.pending--
+	r.stolen++
 	b, fwds, dst := tr.b, tr.fwds+1, best
 	// Reliable: the batch has exactly one owner fleet-wide, so the
 	// transfer itself must survive lossy edges (think retransmitting
 	// transport); it still pays any injected delay.
-	d.hub.SendReliable(dst.hub, d.hub.EarliestTo(dst.hub), func() { dst.receiveForward(b, fwds) })
+	r.hub.SendReliable(dst.hub, r.hub.EarliestTo(dst.hub), func() { dst.receiveForward(b, fwds) })
 	return true
 }
 
@@ -330,68 +179,66 @@ func (d *ShardedDispatcher) tryForward(tr *tracker) bool {
 // batch still has exactly one owner) and a normal local dispatch with
 // a fresh retry budget. Submitted is not re-counted — the sender's
 // region did that — so merged conservation still balances.
-func (d *ShardedDispatcher) receiveForward(b *runtime.Batch, fwds int) {
-	if rs := d.reg; rs.down {
-		rs.parked = append(rs.parked, func() { d.receiveForward(b, fwds) })
+func (r *region) receiveForward(b *runtime.Batch, fwds int) {
+	if r.down {
+		r.parked = append(r.parked, func() { r.receiveForward(b, fwds) })
 		return
 	}
-	if _, dup := d.trk[b.ID]; dup {
-		panic(fmt.Sprintf("cluster: forwarded batch %d already tracked in region %d", b.ID, d.reg.idx))
+	if _, dup := r.trk[b.ID]; dup {
+		panic(fmt.Sprintf("cluster: forwarded batch %d already tracked in region %d", b.ID, r.idx))
 	}
-	tr := &tracker{b: b, fwds: fwds}
-	d.trk[b.ID] = tr
-	d.pending++
-	d.reg.taken++
-	d.dispatch(b, 0, nil)
+	r.trk[b.ID] = &tracker{b: b, fwds: fwds}
+	r.pending++
+	r.taken++
+	r.dispatch(b, 0, nil)
 }
 
 // prepare declares the fleet's communication edges and arms the belief
 // beacons — the step that switches the parsim driver into per-shard
-// conservative horizons. Runs once, immediately before the driver.
-func (t *hubTree) prepare() {
-	if t.prepared {
+// conservative horizons. Runs once, immediately before the driver. A
+// one-region fleet declares nothing: any SetEdge would switch the
+// driver to horizon mode and put node->hub echoes on the beacon grid.
+func (d *ShardedDispatcher) prepare() {
+	if len(d.regions) == 1 {
 		return
 	}
-	t.prepared = true
-	prompt := parsim.EdgeLatency{Fixed: t.hop}
-	beacon := parsim.EdgeLatency{Fixed: t.hop, Grid: t.summaryEvery}
-	if t.faulty {
-		// Fault mode needs flat-fabric promptness: completion echoes
-		// race deadlines, pongs feed the liveness limit.
+	prompt := parsim.EdgeLatency{Fixed: d.hop}
+	beacon := parsim.EdgeLatency{Fixed: d.hop, Grid: d.summaryEvery}
+	if d.faults != nil {
+		// Fault mode needs one-region promptness: completion echoes race
+		// deadlines, pongs feed the liveness limit.
 		beacon = prompt
 	}
-	drv := t.regions[0].drv
-	for _, r := range t.regions {
-		r.reg.peers = t.ring(r.reg.idx)
+	for _, r := range d.regions {
 		for _, sn := range r.sns {
-			drv.SetEdge(r.hub, sn.shard, prompt)
-			drv.SetEdge(sn.shard, r.hub, beacon)
+			d.drv.SetEdge(r.hub, sn.shard, prompt)
+			d.drv.SetEdge(sn.shard, r.hub, beacon)
 		}
-		for _, p := range r.reg.peers {
-			drv.SetEdge(r.hub, p.hub, beacon)
+		for _, p := range r.peers {
+			d.drv.SetEdge(r.hub, p.hub, beacon)
 		}
 	}
-	if t.onDone != nil {
+	if d.onDone != nil {
 		// Terminal-state relays flow to region 0, where the front end
 		// lives; ring edges already cover the adjacent regions and
 		// SetEdge replaces duplicates, so declaring all is harmless.
-		for _, r := range t.regions[1:] {
-			drv.SetEdge(r.hub, t.regions[0].hub, beacon)
+		for _, r := range d.regions[1:] {
+			d.drv.SetEdge(r.hub, d.regions[0].hub, beacon)
 		}
 	}
-	if t.suspLimit > 0 {
+	if d.suspLimit > 0 {
 		// Fabric-fault mode: any hub may need to reach any node (takeover
 		// bookings, revival-sweep aborts) and any hub (done-relay
 		// failover, inject re-homing), so declare the full mesh prompt.
-		for _, a := range t.regions {
-			for _, b := range t.regions {
+		for _, a := range d.regions {
+			for _, b := range d.regions {
 				if a == b {
 					continue
 				}
-				drv.SetEdge(a.hub, b.hub, prompt)
+				d.drv.SetEdge(a.hub, b.hub, prompt)
 				for _, sn := range b.sns {
-					drv.SetEdge(a.hub, sn.shard, prompt)
-					drv.SetEdge(sn.shard, a.hub, prompt)
+					d.drv.SetEdge(a.hub, sn.shard, prompt)
+					d.drv.SetEdge(sn.shard, a.hub, prompt)
 				}
 			}
 		}
@@ -400,70 +247,53 @@ func (t *hubTree) prepare() {
 		// never reads a remote shard. The shard nodes are shared — after
 		// a takeover they serve bookings from both hubs, with each echo
 		// routed home by sn.homes.
-		for _, r := range t.regions {
-			r.reg.adoptees = map[int][]adoptee{}
-			for _, p := range r.reg.peers {
-				if r.reg.idx != (p.reg.idx+1)%len(t.regions) {
+		for _, r := range d.regions {
+			r.adoptees = map[int][]adoptee{}
+			for _, p := range r.peers {
+				if r.idx != (p.idx+1)%len(d.regions) {
 					continue
 				}
 				var as []adoptee
 				for i, sn := range p.sns[:p.homeN] {
 					v := newView(p.cfgs[i])
-					v.breaker = newBreaker(r.faults.breakerK(), r.faults.breakerCooldown())
+					v.breaker = newBreaker(d.faults.breakerK(), d.faults.breakerCooldown())
 					as = append(as, adoptee{sn: sn, view: v})
 				}
-				r.reg.adoptees[p.reg.idx] = as
+				r.adoptees[p.idx] = as
 			}
 		}
 	}
-	t.wireDone()
-	for _, r := range t.regions {
-		t.armBeacon(r)
-	}
-}
-
-// wireDone points every region's settle hook at the tree-level
-// observer. Region 0 hosts the observer (and the front end), so its
-// settles call straight through; sibling regions relay the DoneInfo
-// over their edge to region 0, preserving DoneInfo.At as the
-// originating region's settle time.
-func (t *hubTree) wireDone() {
-	if t.onDone == nil {
-		return
-	}
-	r0 := t.regions[0]
-	r0.onDone = t.onDone
-	for _, r := range t.regions[1:] {
-		r := r
-		r.onDone = func(di DoneInfo) { t.relayDone(r, di) }
+	for _, r := range d.regions {
+		r.armBeacon()
 	}
 }
 
 // relayDone carries a sibling region's terminal-state record to the
-// observer on region 0's shard. While the plan freezes region 0's hub,
-// the record routes through the lowest planned-live hub instead — the
-// relay a real cluster would elect — and reaches region 0's shard one
-// extra hop later, where the co-located front end (a separate process
-// that survives the hub crash) consumes it. Reliable sends throughout:
-// a terminal state is an ownership fact and must not be lost to a
-// lossy edge.
-func (t *hubTree) relayDone(r *ShardedDispatcher, di DoneInfo) {
-	r0 := t.regions[0]
+// observer on region 0's shard, preserving DoneInfo.At as the
+// originating region's settle time. While the plan freezes region 0's
+// hub, the record routes through the lowest planned-live hub instead —
+// the relay a real cluster would elect — and reaches region 0's shard
+// one extra hop later, where the co-located front end (a separate
+// process that survives the hub crash) consumes it. Reliable sends
+// throughout: a terminal state is an ownership fact and must not be
+// lost to a lossy edge.
+func (d *ShardedDispatcher) relayDone(r *region, di DoneInfo) {
+	r0 := d.regions[0]
 	home := 0
-	if len(t.hubCrashes) > 0 {
-		home = t.lowestLiveAt(r.hub.Engine().Now())
+	if len(d.hubCrashes) > 0 {
+		home = d.lowestLiveAt(r.hub.Engine().Now())
 	}
-	if home == 0 || t.regions[home] == r {
+	if home == 0 || d.regions[home] == r {
 		if home != 0 {
-			r.reg.rehomed++
+			r.rehomed++
 		}
-		r.hub.SendReliable(r0.hub, r.hub.EarliestTo(r0.hub), func() { t.onDone(di) })
+		r.hub.SendReliable(r0.hub, r.hub.EarliestTo(r0.hub), func() { d.onDone(di) })
 		return
 	}
-	relay := t.regions[home]
+	relay := d.regions[home]
 	r.hub.SendReliable(relay.hub, r.hub.EarliestTo(relay.hub), func() {
-		relay.reg.rehomed++
-		relay.hub.SendReliable(r0.hub, relay.hub.EarliestTo(r0.hub), func() { t.onDone(di) })
+		relay.rehomed++
+		relay.hub.SendReliable(r0.hub, relay.hub.EarliestTo(r0.hub), func() { d.onDone(di) })
 	})
 }
 
@@ -472,16 +302,17 @@ func (t *hubTree) relayDone(r *ShardedDispatcher, di DoneInfo) {
 // hub snapshots its total outstanding bookings and sends the value —
 // captured by value, the receiving shard never reads sender state —
 // to each ring neighbour.
-func (t *hubTree) armBeacon(r *ShardedDispatcher) {
-	idx := r.reg.idx
+func (r *region) armBeacon() {
+	d := r.f
+	idx := r.idx
 	var tick func()
 	tick = func() {
-		if r.reg.down {
+		if r.down {
 			// A frozen hub beacons nothing — that silence is exactly what
 			// its ring successor's suspicion clock measures. The loop
 			// keeps re-arming so beacons resume at revival.
 			if r.ticking() {
-				r.hub.Engine().After(t.summaryEvery, tick)
+				r.hub.Engine().After(d.summaryEvery, tick)
 			}
 			return
 		}
@@ -494,47 +325,46 @@ func (t *hubTree) armBeacon(r *ShardedDispatcher) {
 		// so re-sending it would only allocate closures to no effect.
 		// In fabric-fault mode every tick sends: the beacon doubles as
 		// the hub-level heartbeat, and skip-unchanged would read as death.
-		if t.suspLimit > 0 || load != r.reg.lastBeacon {
-			r.reg.lastBeacon = load
-			for _, p := range r.reg.peers {
-				p := p
+		if d.suspLimit > 0 || load != r.lastBeacon {
+			r.lastBeacon = load
+			for _, p := range r.peers {
 				r.hub.Send(p.hub, r.hub.EarliestTo(p.hub), func() {
-					if p.reg.down {
+					if p.down {
 						return // lost on a frozen hub
 					}
-					p.reg.beliefs[idx] = load
-					if t.suspLimit > 0 {
-						p.reg.peerLast[idx] = p.hub.Engine().Now()
-						p.reg.suspect[idx] = false
+					p.beliefs[idx] = load
+					if d.suspLimit > 0 {
+						p.peerLast[idx] = p.hub.Engine().Now()
+						p.suspect[idx] = false
 					}
 				})
 			}
 		}
-		if t.suspLimit > 0 {
+		if d.suspLimit > 0 {
 			// Suspicion clock: this region watches its ring predecessor
 			// (successor-only, so exactly one region adopts a silent hub's
 			// nodes). peerLast starts at 0, but the limit is >= three
 			// beacon periods, so a live predecessor always beats it.
 			now := r.hub.Engine().Now()
-			for _, p := range r.reg.peers {
-				pi := p.reg.idx
-				if r.reg.idx != (pi+1)%len(t.regions) {
+			for _, p := range r.peers {
+				pi := p.idx
+				if r.idx != (pi+1)%len(d.regions) {
 					continue
 				}
-				if r.reg.adopted[pi] || r.reg.suspect[pi] {
+				if r.adopted[pi] || r.suspect[pi] {
 					continue
 				}
-				if now-r.reg.peerLast[pi] > t.suspLimit {
-					r.reg.suspect[pi] = true
-					t.adopt(r, pi)
+				if now-r.peerLast[pi] > d.suspLimit {
+					r.suspect[pi] = true
+					r.adopt(pi)
 				}
 			}
 		}
 		if r.ticking() {
-			r.hub.Engine().After(t.summaryEvery, tick)
+			r.hub.Engine().After(d.summaryEvery, tick)
 		}
 	}
-	r.hub.Engine().At(t.summaryEvery, tick)
+	r.hub.Engine().At(d.summaryEvery, tick)
 }
 
 // adopt executes a region takeover on the adopter's hub: the suspected
@@ -543,12 +373,11 @@ func (t *hubTree) armBeacon(r *ShardedDispatcher) {
 // for the run (beliefs may heal, routing stays safe: every booking's
 // echo carries its home). The adopted views start with a fresh liveness
 // stamp so the adopter's monitor gives their pongs time to arrive.
-func (t *hubTree) adopt(r *ShardedDispatcher, pi int) {
-	rs := r.reg
-	rs.adopted[pi] = true
-	rs.takeovers++
+func (r *region) adopt(pi int) {
+	r.adopted[pi] = true
+	r.takeovers++
 	now := r.hub.Engine().Now()
-	for _, a := range rs.adoptees[pi] {
+	for _, a := range r.adoptees[pi] {
 		a.view.lastBeat = now
 		r.sns = append(r.sns, a.sn)
 		r.views = append(r.views, a.view)
@@ -566,178 +395,66 @@ func (t *hubTree) adopt(r *ShardedDispatcher, pi int) {
 // freeze swallowed, then the parked reliable inputs replay in arrival
 // order. Re-dispatches here charge the fleet counters but not the
 // batch's own budget — the fabric failed, not the batch.
-func (d *ShardedDispatcher) reviveSweep() {
-	rs := d.reg
-	now := d.hub.Engine().Now()
-	for _, v := range d.views {
+func (r *region) reviveSweep() {
+	now := r.hub.Engine().Now()
+	for _, v := range r.views {
 		v.lastBeat = now
 		v.detectedDown = false
 	}
-	for idx := range d.views {
-		ids := append([]int(nil), d.bookings[idx]...)
+	for idx := range r.views {
+		ids := append([]int(nil), r.bookings[idx]...)
 		for _, id := range ids {
-			id := id
-			tr := d.trk[id]
-			d.release(idx, id)
+			tr := r.trk[id]
+			r.release(idx, id)
 			if tr == nil || tr.done {
 				continue
 			}
 			tr.gen++ // invalidate the booking's deadline and echoes
-			sn := d.sns[idx]
-			d.hub.SendAfter(sn.shard, d.hop, func() {
-				delete(sn.tokens, id)
-				delete(sn.attempts, id)
-				delete(sn.homes, id)
-				sn.node.rt.Abort(id)
-			})
-			d.redispatches++
-			if c := bumpTenant(&d.tenants, tr.b.Tenant); c != nil {
+			r.abortSend(r.sns[idx], id)
+			r.redispatches++
+			if c := bumpTenant(&r.tenants, tr.b.Tenant); c != nil {
 				c.redispatches++
 			}
-			d.dispatch(tr.b, 0, nil)
+			r.dispatch(tr.b, 0, nil)
 		}
 	}
-	parked := rs.parked
-	rs.parked = nil
+	parked := r.parked
+	r.parked = nil
 	for _, fn := range parked {
 		fn()
 	}
 }
 
-// enableFaults validates the plan fleet-wide, then splits it into
-// per-region slices: each sub-hub runs the full failure-aware fabric —
-// breakers, deadlines, ping/pong liveness, eviction, re-dispatch —
-// over its own nodes. The ExecError coin is a pure function of
-// (Seed, batch, attempt), so filtering the plan never changes a draw.
-func (t *hubTree) enableFaults(fc FaultConfig) error {
-	if t.faulty {
-		return fmt.Errorf("cluster: faults already enabled")
+// armFabricFaults arms the plan's hub freeze windows and switches the
+// beacons into heartbeat duty (suspLimit > 0 gates all of it). Only a
+// fleet with peers has beacons to miss and a successor to take over,
+// so a one-region fleet skips it (hub crashes are rejected there, and
+// its edge faults need no suspicion).
+func (d *ShardedDispatcher) armFabricFaults() {
+	plan := d.faults.Plan
+	if len(d.regions) == 1 || plan == nil || len(plan.HubCrashes)+len(plan.EdgeFaults) == 0 {
+		return
 	}
-	if err := fc.Plan.Validate(); err != nil {
-		return err
-	}
-	owner := map[string]int{}
-	for ri, r := range t.regions {
-		for _, sn := range r.sns {
-			owner[sn.node.Name] = ri
-		}
-	}
-	if fc.Plan != nil {
-		for _, f := range fc.Plan.ArrayFaults {
-			if _, ok := owner[f.Node]; !ok {
-				return fmt.Errorf("cluster: array fault names unknown node %q", f.Node)
-			}
-		}
-		for _, c := range fc.Plan.Crashes {
-			if _, ok := owner[c.Node]; !ok {
-				return fmt.Errorf("cluster: crash names unknown node %q", c.Node)
-			}
-		}
-		for _, h := range fc.Plan.HubCrashes {
-			if h.Region >= len(t.regions) {
-				return fmt.Errorf("%w: region %d of %d regions", fault.ErrBadHubRegion, h.Region, len(t.regions))
-			}
+	d.hubCrashes = plan.HubCrashes
+	d.suspLimit = event.Time(d.faults.heartbeatMiss())*d.summaryEvery + 2*d.hop
+	var maxT event.Time
+	for _, h := range plan.HubCrashes {
+		r := d.regions[h.Region]
+		r.hub.Engine().At(h.At, func() { r.down = true; r.hubCrashes++ })
+		r.hub.Engine().At(h.Recover, func() { r.down = false; r.reviveSweep() })
+		if h.Recover > maxT {
+			maxT = h.Recover
 		}
 	}
-	t.faulty = true
-	for ri, r := range t.regions {
-		rfc := fc
-		if fc.Plan != nil {
-			sub := &fault.Plan{Seed: fc.Plan.Seed, ExecErrorProb: fc.Plan.ExecErrorProb}
-			for _, f := range fc.Plan.ArrayFaults {
-				if owner[f.Node] == ri {
-					sub.ArrayFaults = append(sub.ArrayFaults, f)
-				}
-			}
-			for _, c := range fc.Plan.Crashes {
-				if owner[c.Node] == ri {
-					sub.Crashes = append(sub.Crashes, c)
-				}
-			}
-			rfc.Plan = sub
-		}
-		if err := r.EnableFaults(rfc); err != nil {
-			return err
+	for _, e := range plan.EdgeFaults {
+		if e.Until > maxT {
+			maxT = e.Until
 		}
 	}
-	if fc.Plan != nil && (len(fc.Plan.HubCrashes) > 0 || len(fc.Plan.EdgeFaults) > 0) {
-		// Fabric faults: arm the hub freeze windows, resolve edge faults
-		// fleet-wide (hubs under "hub<R>", nodes by name), and switch the
-		// beacons into heartbeat duty (suspLimit > 0 gates all of it).
-		t.hubCrashes = fc.Plan.HubCrashes
-		t.suspLimit = event.Time(fc.heartbeatMiss())*t.summaryEvery + 2*t.hop
-		shards := map[string]*parsim.Shard{}
-		for ri, r := range t.regions {
-			shards[fmt.Sprintf("hub%d", ri)] = r.hub
-			for _, sn := range r.sns {
-				shards[sn.node.Name] = sn.shard
-			}
-		}
-		if err := wireEdgeFaults(t.regions[0].drv, shards, fc); err != nil {
-			return err
-		}
-		var maxT event.Time
-		for _, h := range fc.Plan.HubCrashes {
-			h := h
-			r := t.regions[h.Region]
-			rs := r.reg
-			r.hub.Engine().At(h.At, func() { rs.down = true; rs.hubCrashes++ })
-			r.hub.Engine().At(h.Recover, func() { rs.down = false; r.reviveSweep() })
-			if h.Recover > maxT {
-				maxT = h.Recover
-			}
-		}
-		for _, e := range fc.Plan.EdgeFaults {
-			if e.Until > maxT {
-				maxT = e.Until
-			}
-		}
-		if maxT > 0 {
-			// Liveness, beacon, and monitor loops re-arm while the horizon
-			// is ahead: promise activity through every fault window plus a
-			// full suspicion round, so detection outlives the chaos.
-			maxT += t.suspLimit + t.summaryEvery
-			for _, r := range t.regions {
-				r.ExtendHorizon(maxT)
-			}
-		}
+	if maxT > 0 {
+		// Liveness, beacon, and monitor loops re-arm while the horizon is
+		// ahead: promise activity through every fault window plus a full
+		// suspicion round, so detection outlives the chaos.
+		d.ExtendHorizon(maxT + d.suspLimit + d.summaryEvery)
 	}
-	return nil
-}
-
-// run advances the whole tree to quiescence and merges the regional
-// summaries in region order — which is node-configuration order, so a
-// tree summary lists nodes exactly where the flat summary would.
-func (t *hubTree) run(parent *ShardedDispatcher) Summary {
-	t.prepare()
-	parent.drv.Run()
-	s := Summary{Policy: t.policy.Name()}
-	var rollups []nodeRollup
-	tenants := map[string]*tenantCounts{}
-	for _, r := range t.regions {
-		s.Submitted += r.submitted
-		s.Completed += r.completed
-		s.Shed += r.shed
-		s.Retries += r.retries
-		s.Redispatches += r.redispatches
-		s.DeadLettered += r.deadLettered
-		s.ExecErrors += r.execErrors
-		s.Timeouts += r.timeouts
-		s.HubCrashes += r.reg.hubCrashes
-		s.Takeovers += r.reg.takeovers
-		s.Rehomed += r.reg.rehomed
-		rollups = append(rollups, r.rollups()...)
-		for name, c := range r.tenants {
-			m := bumpTenant(&tenants, name)
-			m.submitted += c.submitted
-			m.completed += c.completed
-			m.shed += c.shed
-			m.deadLettered += c.deadLettered
-			m.redispatches += c.redispatches
-		}
-	}
-	if len(tenants) == 0 {
-		tenants = nil
-	}
-	return summarize(s, rollups, tenants)
 }

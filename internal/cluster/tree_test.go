@@ -88,8 +88,9 @@ func TestTreeChaosConservation(t *testing.T) {
 	}
 }
 
-// TestTreeHubsOneIsFlat: Hubs 1 (and 0) take the legacy single-hub code
-// path, so existing callers keep byte-identical output by construction.
+// TestTreeHubsOneIsFlat: Hubs 1 and 0 both build one region with no
+// ring peers, and render identically (TestFlatChaosGolden pins that
+// output, window structure included).
 func TestTreeHubsOneIsFlat(t *testing.T) {
 	run := func(sc ShardConfig) Summary {
 		d := NewShardedDispatcher(NewLeastOutstanding(), Admission{}, sc,
@@ -99,8 +100,8 @@ func TestTreeHubsOneIsFlat(t *testing.T) {
 				panic(err)
 			}
 		}
-		if d.tree != nil {
-			t.Fatal("Hubs<=1 built a tree")
+		if len(d.regions) != 1 || len(d.regions[0].peers) != 0 {
+			t.Fatalf("Hubs=%d built %d regions", sc.Hubs, len(d.regions))
 		}
 		return d.Run()
 	}
@@ -132,13 +133,13 @@ func TestTreeStealsOverflow(t *testing.T) {
 	if s.Completed != 3 {
 		t.Fatalf("completed %d of 3 (summary %v)", s.Completed, s)
 	}
-	r0, r1 := d.tree.regions[0], d.tree.regions[1]
-	if r0.reg.stolen == 0 {
-		t.Errorf("saturated region 0 never forwarded (stolen=%d)", r0.reg.stolen)
+	r0, r1 := d.regions[0], d.regions[1]
+	if r0.stolen == 0 {
+		t.Errorf("saturated region 0 never forwarded (stolen=%d)", r0.stolen)
 	}
-	if r1.reg.taken != r0.reg.stolen {
+	if r1.taken != r0.stolen {
 		t.Errorf("forward imbalance: region 0 stole %d, region 1 took %d",
-			r0.reg.stolen, r1.reg.taken)
+			r0.stolen, r1.taken)
 	}
 }
 

@@ -80,8 +80,12 @@ func OfResult(sys *sched.System, res *sched.Result) Breakdown {
 			b.TransferJ += float64(bytes) * DDRPJPerByte * 1e-12
 		}
 	}
-	for t := range sys.Layers {
-		b.StaticJ += PerTarget[t].StaticW * res.Makespan.Seconds()
+	// Sum in isa.Targets order, not map order: float addition is not
+	// associative, and a map walk would vary the last bits run to run.
+	for _, t := range isa.Targets {
+		if _, ok := sys.Layers[t]; ok {
+			b.StaticJ += PerTarget[t].StaticW * res.Makespan.Seconds()
+		}
 	}
 	return b
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mlimp/internal/event"
 	"mlimp/internal/isa"
 	"mlimp/internal/sched"
 )
@@ -76,5 +77,33 @@ func TestNarrowBitsCutComputeEnergy(t *testing.T) {
 	}
 	if run(16).ComputeJ != full.ComputeJ {
 		t.Error("explicit 16 bits must match the zero default")
+	}
+}
+
+// TestStaticEnergyDeterministic: static energy over a three-layer
+// system must be bit-identical across calls. The fixture picks a
+// makespan at which the layer order changes the float sum, so summing
+// in map-iteration order would show.
+func TestStaticEnergyDeterministic(t *testing.T) {
+	sys := sched.NewSystem(isa.SRAM, isa.DRAM, isa.ReRAM)
+	sum := func(order []isa.Target, sec float64) float64 {
+		var j float64
+		for _, tg := range order {
+			j += PerTarget[tg].StaticW * sec
+		}
+		return j
+	}
+	var res *sched.Result
+	for ps := event.Time(1); res == nil; ps++ {
+		sec := ps.Seconds()
+		if sum([]isa.Target{isa.SRAM, isa.DRAM, isa.ReRAM}, sec) != sum([]isa.Target{isa.ReRAM, isa.DRAM, isa.SRAM}, sec) {
+			res = &sched.Result{Makespan: ps}
+		}
+	}
+	want := sum(isa.Targets, res.Makespan.Seconds())
+	for i := 0; i < 64; i++ {
+		if got := OfResult(sys, res).StaticJ; got != want {
+			t.Fatalf("call %d: StaticJ = %v, want %v (isa.Targets order)", i, got, want)
+		}
 	}
 }

@@ -276,7 +276,8 @@ type Driver struct {
 	// worker; the channel send/receive pair orders the write before
 	// every read.
 	work chan *Shard
-	wg   sync.WaitGroup
+	wg   sync.WaitGroup // window tasks in flight
+	pool sync.WaitGroup // live workers; Run joins them before returning
 
 	// mergeBuf is the barrier's reusable merge scratch: deliver gathers
 	// every destination's incoming messages here, sorts, inserts, and
@@ -441,7 +442,7 @@ func (d *Driver) AddEdgeFault(src, dst *Shard, f EdgeFault) {
 	if src == dst {
 		panic("parsim: AddEdgeFault on a self edge")
 	}
-	if f.DropProb < 0 || f.DropProb > 1 || f.Delay < 0 {
+	if !(f.DropProb >= 0 && f.DropProb <= 1) || f.Delay < 0 { // NaN fails too
 		panic("parsim: AddEdgeFault with bad drop probability or delay")
 	}
 	if f.DropProb == 0 && f.Delay == 0 {
@@ -471,7 +472,7 @@ func (d *Driver) Run() event.Time {
 	}
 	if d.workers > 1 {
 		d.startPool()
-		defer close(d.work)
+		defer d.stopPool()
 	}
 	if d.horizons {
 		d.runHorizons()
@@ -635,14 +636,23 @@ func runShard(e *event.Engine, deadline event.Time) {
 // startPool spawns the persistent window workers.
 func (d *Driver) startPool() {
 	d.work = make(chan *Shard, len(d.shards))
+	d.pool.Add(d.workers)
 	for i := 0; i < d.workers; i++ {
 		go func() {
+			defer d.pool.Done()
 			for s := range d.work {
 				runShard(s.eng, s.limit)
 				d.wg.Done()
 			}
 		}()
 	}
+}
+
+// stopPool closes the work channel and waits for every worker to
+// exit, so no goroutine outlives Run.
+func (d *Driver) stopPool() {
+	close(d.work)
+	d.pool.Wait()
 }
 
 // deliver is the window barrier: every destination's incoming messages,

@@ -3,6 +3,7 @@ package parsim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -449,5 +450,34 @@ func TestParallelStress(t *testing.T) {
 	want := int64(nShards * (rounds + 1))
 	if got := fired.Load(); got != want {
 		t.Fatalf("fired %d events, want %d", got, want)
+	}
+}
+
+// TestRunJoinsWorkers: Run must not return while its worker pool is
+// still alive. The goroutine count is read the instant Run returns,
+// without yielding. A worker that has signalled its exit may still need
+// a few hundred nanoseconds to be torn down — an OS preemption in that
+// gap is the only way a joined pool can show — so the check runs 20
+// times and tolerates a minority of such readings; an unjoined pool is
+// still alive at every one.
+func TestRunJoinsWorkers(t *testing.T) {
+	const runs = 20
+	leaked := 0
+	for r := 0; r < runs; r++ {
+		d := NewDriver(hop, 4)
+		for i := 0; i < 8; i++ {
+			s := d.AddShard()
+			for k := 0; k < 4; k++ {
+				s.Engine().At(event.Time(k)*hop, func() {})
+			}
+		}
+		before := runtime.NumGoroutine()
+		d.Run()
+		if runtime.NumGoroutine() > before {
+			leaked++
+		}
+	}
+	if leaked >= runs/2 {
+		t.Fatalf("goroutines outlived Run in %d of %d runs (worker pool not joined)", leaked, runs)
 	}
 }

@@ -37,23 +37,28 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestEveryExperimentRuns executes the full reproduction suite once and
-// sanity-checks each artefact. This is the repository's end-to-end test.
+// TestEveryExperimentRuns sanity-checks each artefact of the serial
+// reproduction sweep. The sweep is shared with TestRunAllMatchesSerial
+// (serialSweep), so the registry runs serially once per test binary.
+// This is the repository's end-to-end test.
 func TestEveryExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full reproduction suite is slow")
 	}
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			res := e.Run()
-			if res.ID != e.ID {
-				t.Errorf("result id %q != %q", res.ID, e.ID)
+	for _, tm := range serialSweep(t) {
+		tm := tm
+		t.Run(tm.Experiment.ID, func(t *testing.T) {
+			res := tm.Result
+			if res == nil {
+				t.Fatal("no result")
+			}
+			if res.ID != tm.Experiment.ID {
+				t.Errorf("result id %q != %q", res.ID, tm.Experiment.ID)
 			}
 			if len(strings.TrimSpace(res.Text)) == 0 {
 				t.Error("empty artefact")
 			}
-			if !strings.Contains(res.String(), e.ID) {
+			if !strings.Contains(res.String(), tm.Experiment.ID) {
 				t.Error("render missing id")
 			}
 			t.Log("\n" + res.String())

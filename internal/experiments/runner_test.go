@@ -2,8 +2,29 @@ package experiments
 
 import (
 	"context"
+	"sync"
 	"testing"
 )
+
+// serialSweep runs the whole registry serially once per test binary and
+// hands every caller the same artefacts: TestEveryExperimentRuns checks
+// each one, TestRunAllMatchesSerial compares a parallel sweep against
+// them.
+var serialSweep = func() func(t *testing.T) []Timed {
+	var (
+		once sync.Once
+		out  []Timed
+		err  error
+	)
+	return func(t *testing.T) []Timed {
+		t.Helper()
+		once.Do(func() { out, err = RunAll(context.Background(), 1) })
+		if err != nil {
+			t.Fatalf("serial sweep: %v", err)
+		}
+		return out
+	}
+}()
 
 // TestRunAllMatchesSerial is the determinism acceptance test of the
 // parallel runner: every artefact from a parallel sweep must be
@@ -14,12 +35,8 @@ func TestRunAllMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full double reproduction sweep is slow")
 	}
-	ctx := context.Background()
-	serial, err := RunAll(ctx, 1)
-	if err != nil {
-		t.Fatalf("serial sweep: %v", err)
-	}
-	parallel, err := RunAll(ctx, 4)
+	serial := serialSweep(t)
+	parallel, err := RunAll(context.Background(), 4)
 	if err != nil {
 		t.Fatalf("parallel sweep: %v", err)
 	}

@@ -211,11 +211,12 @@ func (p *Plan) Validate() error {
 	if p == nil {
 		return nil
 	}
-	if p.ExecErrorProb < 0 || p.ExecErrorProb > 1 {
+	// Range checks are written so NaN fails them.
+	if !(p.ExecErrorProb >= 0 && p.ExecErrorProb <= 1) {
 		return fmt.Errorf("%w: exec error probability %v", ErrBadProbability, p.ExecErrorProb)
 	}
 	for i, f := range p.ArrayFaults {
-		if f.Arrays < 0 || (f.Arrays == 0 && f.Fraction <= 0) || f.Fraction < 0 || f.Fraction > 1 {
+		if f.Arrays < 0 || (f.Arrays == 0 && f.Fraction <= 0) || !(f.Fraction >= 0 && f.Fraction <= 1) {
 			return fmt.Errorf("%w: array fault %d (arrays=%d fraction=%v)",
 				ErrBadMagnitude, i, f.Arrays, f.Fraction)
 		}
@@ -243,7 +244,7 @@ func (p *Plan) Validate() error {
 		if e.From == "" || e.To == "" || e.From == e.To {
 			return fmt.Errorf("%w: edge fault %d endpoints %q -> %q", ErrBadEdge, i, e.From, e.To)
 		}
-		if e.DropProb < 0 || e.DropProb > 1 {
+		if !(e.DropProb >= 0 && e.DropProb <= 1) {
 			return fmt.Errorf("%w: edge fault %d drop %v", ErrBadProbability, i, e.DropProb)
 		}
 		if e.Delay < 0 || e.At < 0 || (e.Until != 0 && e.Until <= e.At) {

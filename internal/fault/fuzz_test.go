@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -60,6 +62,62 @@ func FuzzPlanValidate(f *testing.F) {
 				if p.ExecError(batch, attempt) != p.ExecError(batch, attempt) {
 					t.Fatalf("ExecError(%d,%d) not deterministic", batch, attempt)
 				}
+			}
+		}
+	})
+}
+
+// FuzzParseFaultSpecs drives the -hub-crash and -edge-fault flag
+// parsers into Plan.Validate, with a fuzzed exec-error probability and
+// array-fault fraction riding along. Nothing may panic, parse failures
+// are ErrBadSpec, and any plan that validates has non-negative times
+// (no NaN, Inf or overflow leaking through the float conversion) and
+// probabilities and fractions in [0,1] (NaN fails every comparison, so
+// a NaN must be rejected, not waved through).
+func FuzzParseFaultSpecs(f *testing.F) {
+	f.Add("1@2:6/0@10:14.5", "hub0>hub1@2:6:1:0/hub1>hub0@0:0:0.5:0.1", 0.1, 0.5)
+	f.Add("", "hub0>hub1@1:2:NaN:0", 0.1, 0.5)
+	f.Add("", "", math.NaN(), 0.5)
+	f.Add("", "", 0.1, math.NaN())
+	f.Add("0@NaN:1", "", 0.1, 0.5)
+	f.Add("0@1e300:1e301", "hub0>hub1@Inf:0:0:1", 0.0, 0.0)
+	f.Add("", "a>b@-1:0:0:-Inf", 2.0, -0.5)
+	f.Fuzz(func(t *testing.T, hubSpec, edgeSpec string, prob, frac float64) {
+		hubs, err := ParseHubCrashes(hubSpec)
+		if err != nil {
+			if !errors.Is(err, ErrBadSpec) {
+				t.Fatalf("ParseHubCrashes(%q) err = %v, want ErrBadSpec", hubSpec, err)
+			}
+			return
+		}
+		edges, err := ParseEdgeFaults(edgeSpec)
+		if err != nil {
+			if !errors.Is(err, ErrBadSpec) {
+				t.Fatalf("ParseEdgeFaults(%q) err = %v, want ErrBadSpec", edgeSpec, err)
+			}
+			return
+		}
+		p := &Plan{
+			ExecErrorProb: prob,
+			ArrayFaults:   []ArrayFault{{Node: "n", Target: isa.SRAM, Fraction: frac, At: 1}},
+			HubCrashes:    hubs,
+			EdgeFaults:    edges,
+		}
+		if p.Validate() != nil {
+			return
+		}
+		inUnit := func(x float64) bool { return x >= 0 && x <= 1 }
+		if !inUnit(p.ExecErrorProb) || !inUnit(frac) {
+			t.Fatalf("accepted plan with prob=%v fraction=%v", p.ExecErrorProb, frac)
+		}
+		for _, h := range hubs {
+			if h.At < 0 || h.Recover < 0 {
+				t.Fatalf("accepted hub crash with negative time: %+v", h)
+			}
+		}
+		for _, e := range edges {
+			if e.At < 0 || e.Until < 0 || e.Delay < 0 || !inUnit(e.DropProb) {
+				t.Fatalf("accepted edge fault %+v", e)
 			}
 		}
 	})

@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -65,7 +66,7 @@ func ParseEdgeFaults(spec string) ([]EdgeFault, error) {
 			return nil, err
 		}
 		drop, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
+		if err != nil || math.IsNaN(drop) || math.IsInf(drop, 0) {
 			return nil, fmt.Errorf("%w: %q has a bad drop probability", ErrBadSpec, part)
 		}
 		delay, err := parseMs(fields[3], part)
@@ -102,10 +103,14 @@ func parseWindow(s, ctx string) (at, until event.Time, err error) {
 	return at, until, nil
 }
 
+// parseMs parses a millisecond value into simulated time. NaN, ±Inf and
+// values beyond the event.Time range are rejected here: converting them
+// would silently yield an arbitrary time.
 func parseMs(s, ctx string) (event.Time, error) {
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
+	t := v * float64(event.Millisecond)
+	if err != nil || !(math.Abs(t) < math.MaxInt64) {
 		return 0, fmt.Errorf("%w: %q has a bad time %q (milliseconds)", ErrBadSpec, ctx, s)
 	}
-	return event.Time(v * float64(event.Millisecond)), nil
+	return event.Time(t), nil
 }

@@ -3,6 +3,7 @@ package fixed
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -204,4 +205,31 @@ func TestConvertSignSymmetric(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzParseFormat: ParseFormat never panics, rejects with ErrBadFormat,
+// and accepts only supported, valid formats whose rendering parses back
+// to the same format.
+func FuzzParseFormat(f *testing.F) {
+	for _, s := range []string{"16", "q6.6", " W8 ", "24", "", "q8.8x"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseFormat(s)
+		if err != nil {
+			if !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("ParseFormat(%q) err = %v, want ErrBadFormat", s, err)
+			}
+			return
+		}
+		if err := got.Valid(); err != nil {
+			t.Fatalf("ParseFormat(%q) = %v, invalid: %v", s, got, err)
+		}
+		if !slices.Contains(Formats(), got) {
+			t.Fatalf("ParseFormat(%q) = %v, not a supported width", s, got)
+		}
+		if back, err := ParseFormat(got.String()); err != nil || back != got {
+			t.Fatalf("ParseFormat(%q) = %v does not round-trip: %v, %v", s, got, back, err)
+		}
+	})
 }
