@@ -26,6 +26,7 @@ import (
 	"mlimp/internal/runtime"
 	"mlimp/internal/sched"
 	"mlimp/internal/serve"
+	"mlimp/internal/tensor"
 	"mlimp/internal/workload"
 )
 
@@ -163,6 +164,39 @@ func BenchmarkMultiTenantSchedule(b *testing.B) {
 		if len(res.Assignments) != len(jobs) {
 			b.Fatalf("completed %d of %d jobs", len(res.Assignments), len(jobs))
 		}
+	}
+}
+
+// BenchmarkPredictorRefit measures the serving front end's online
+// retraining step alone: predict.MLP.Refit over a full observation
+// window (serve.DefaultObsWindow, 256 observations spread over the
+// three targets) at the serving experiments' 10 epochs and the default
+// retraining rate, on a predictor trained at the serving config (32
+// subgraphs of the serving-scale mother graph, 150 epochs). Observed
+// cycles drift 0.7-1.3x off the oracle per observation, so the fit
+// never converges and iterations keep doing representative Adam work.
+func BenchmarkPredictorRefit(b *testing.B) {
+	d := graph.Dataset{Name: "serving", Vertices: 1200,
+		InputFeat: 64, HiddenFeat: 64, ScaleDiv: 1, Attachment: 8}
+	rng := rand.New(rand.NewSource(23))
+	g := d.Generate(rng)
+	s := graph.NewSampler(rng, g, 2, 0)
+	sample := func() *tensor.CSR { return s.Sample(rng.Intn(g.N)).Adj }
+	var training []*tensor.CSR
+	for i := 0; i < 32; i++ {
+		training = append(training, sample())
+	}
+	p := predict.Train(rng, training, d.InputFeat, predict.TrainConfig{Epochs: 150, LR: 2e-3})
+	obs := make([]predict.Observation, serve.DefaultObsWindow)
+	for i := range obs {
+		adj, t := sample(), isa.Targets[i%len(isa.Targets)]
+		c := float64(predict.Oracle{}.UnitCycles(adj, d.InputFeat, t)) * (0.7 + 0.6*rng.Float64())
+		obs[i] = predict.Observation{Adj: adj, F: d.InputFeat, Target: t, Cycles: int64(c) + 1}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Refit(rng, obs, 10, serve.DefaultRetrainLR)
 	}
 }
 

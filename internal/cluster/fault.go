@@ -303,8 +303,14 @@ func (r *region) enableFaults(execFn func(batchID, attempt int) bool) {
 // shards — hubs under "hub<R>", nodes under their node names — and
 // schedules them on the parsim driver. Lossy faults require a dispatch
 // deadline: dropped dispatches and completion echoes are only recovered
-// by the deadline -> re-dispatch path.
+// by the deadline -> re-dispatch path. Every fault is checked before
+// any is scheduled, so a rejected plan leaves the driver untouched.
 func wireEdgeFaults(drv *parsim.Driver, shards map[string]*parsim.Shard, fc FaultConfig) error {
+	type edge struct {
+		src, dst *parsim.Shard
+		f        parsim.EdgeFault
+	}
+	edges := make([]edge, 0, len(fc.Plan.EdgeFaults))
 	for _, e := range fc.Plan.EdgeFaults {
 		src, ok := shards[e.From]
 		if !ok {
@@ -317,10 +323,13 @@ func wireEdgeFaults(drv *parsim.Driver, shards map[string]*parsim.Shard, fc Faul
 		if e.DropProb > 0 && fc.Deadline <= 0 {
 			return fmt.Errorf("%w (%s->%s drop=%.2f)", ErrEdgeFaultNeedsDeadline, e.From, e.To, e.DropProb)
 		}
-		drv.AddEdgeFault(src, dst, parsim.EdgeFault{
+		edges = append(edges, edge{src, dst, parsim.EdgeFault{
 			At: e.At, Until: e.Until, DropProb: e.DropProb, Delay: e.Delay,
 			Seed: fc.Plan.Seed,
-		})
+		}})
+	}
+	for _, e := range edges {
+		drv.AddEdgeFault(e.src, e.dst, e.f)
 	}
 	return nil
 }

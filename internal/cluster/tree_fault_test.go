@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mlimp/internal/event"
+	"mlimp/internal/event/parsim"
 	"mlimp/internal/fault"
 )
 
@@ -206,6 +207,51 @@ func TestFabricFaultErrors(t *testing.T) {
 	slow := &fault.Plan{EdgeFaults: []fault.EdgeFault{{From: "hub0", To: "a", Delay: 10 * event.Microsecond}}}
 	if err := flat.EnableFaults(FaultConfig{Plan: slow}); err != nil {
 		t.Errorf("flat delay-only edge fault rejected: %v", err)
+	}
+}
+
+// TestRejectedEdgeFaultPlanArmsNothing: a plan whose second edge fault
+// names an unknown endpoint is rejected before its valid first fault is
+// scheduled, so a retry with a corrected plan runs exactly like a fresh
+// fleet given that plan, with no message dropped or delayed.
+func TestRejectedEdgeFaultPlanArmsNothing(t *testing.T) {
+	fleet := func() *ShardedDispatcher {
+		return newFleet(NewRoundRobin(), Admission{}, fullNode("a"), fullNode("b"))
+	}
+	run := func(d *ShardedDispatcher) (Summary, parsim.Stats) {
+		for i := 0; i < 8; i++ {
+			if err := d.Submit(mkBatch(i, event.Time(i)*200*event.Microsecond, 3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d.Run(), d.WindowStats()
+	}
+	fixed := FaultConfig{Plan: &fault.Plan{}}
+
+	d := fleet()
+	bad := &fault.Plan{EdgeFaults: []fault.EdgeFault{
+		{From: "hub0", To: "a", Delay: 50 * event.Microsecond},
+		{From: "hub0", To: "zz", Delay: 10 * event.Microsecond},
+	}}
+	if err := d.EnableFaults(FaultConfig{Plan: bad}); !errors.Is(err, ErrUnknownEdgeEndpoint) {
+		t.Fatalf("unknown endpoint err = %v, want ErrUnknownEdgeEndpoint", err)
+	}
+	if err := d.EnableFaults(fixed); err != nil {
+		t.Fatalf("corrected plan rejected: %v", err)
+	}
+	got, gotW := run(d)
+
+	fresh := fleet()
+	if err := fresh.EnableFaults(fixed); err != nil {
+		t.Fatal(err)
+	}
+	want, wantW := run(fresh)
+	if gotW.Dropped != 0 || gotW.Delayed != 0 {
+		t.Errorf("rejected plan's edge fault stayed armed: dropped=%d delayed=%d", gotW.Dropped, gotW.Delayed)
+	}
+	if got.String() != want.String() || gotW.String() != wantW.String() {
+		t.Errorf("retry after a rejected plan diverged from a fresh fleet:\n got %s\n     %s\nwant %s\n     %s",
+			got, gotW, want, wantW)
 	}
 }
 

@@ -2,27 +2,48 @@
 // training — the substrate of MLIMP's performance predictor ("The
 // regressors have two hidden layers with 16 and 8 nodes", Section III-E).
 // float64 throughout: the predictor runs on the host CPU, not in memory.
+//
+// The serving front end refits the predictor online, so TrainStep is a
+// hot path. Each layer keeps its weights and Adam moments in flat
+// row-major slices, TrainStep fuses backpropagation with the Adam update
+// in one top-down pass over per-Net scratch buffers, and neither
+// TrainStep nor Fit allocates. The fused kernel performs the same
+// floating-point operations, on the same operands and in the same order,
+// as a separate backward pass followed by a separate Adam pass, so the
+// trained weights are bit-identical to that textbook formulation.
+// Forward never writes the Net: a trained net may be read concurrently.
 package mlp
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"mlimp/internal/fixed"
 )
 
 // Net is a fully connected feed-forward network with tanh hidden
 // activations and a linear output layer.
 type Net struct {
-	sizes   []int
-	weights [][][]float64 // [layer][out][in]
-	biases  [][]float64   // [layer][out]
+	layers []layer
 
-	// Adam state.
-	mW, vW [][][]float64
-	mB, vB [][]float64
+	// Adam step count and bias corrections c1 = 1-beta1^step and
+	// c2 = 1-beta2^step. Once a correction rounds to exactly 1 it stays
+	// there (TestBiasCorrectionShortcut), so advance stops calling
+	// math.Pow for it and update skips the division by it.
 	step   int
+	c1, c2 float64
+
+	perm []int // Fit's shuffle order, reused across epochs and calls
+}
+
+// layer is one weight layer: in inputs, out outputs.
+type layer struct {
+	in, out   int
+	w, mW, vW []float64 // [out*in], row-major: weight (o, i) at o*in+i
+	b, mB, vB []float64 // [out]
+
+	// TrainStep scratch: this layer's activations, and the loss
+	// gradient with respect to its pre-activations.
+	act, delta []float64
 }
 
 // New builds a network with the given layer sizes (inputs first, output
@@ -36,137 +57,110 @@ func New(rng *rand.Rand, sizes ...int) *Net {
 			panic("mlp: layer sizes must be positive")
 		}
 	}
-	n := &Net{sizes: append([]int(nil), sizes...)}
+	n := &Net{}
 	for l := 1; l < len(sizes); l++ {
 		in, out := sizes[l-1], sizes[l]
+		L := newLayer(in, out)
 		scale := math.Sqrt(2.0 / float64(in+out))
-		w := make([][]float64, out)
-		mw := make([][]float64, out)
-		vw := make([][]float64, out)
-		for o := range w {
-			w[o] = make([]float64, in)
-			mw[o] = make([]float64, in)
-			vw[o] = make([]float64, in)
-			for i := range w[o] {
-				w[o][i] = rng.NormFloat64() * scale
-			}
+		for k := range L.w {
+			L.w[k] = rng.NormFloat64() * scale
 		}
-		n.weights = append(n.weights, w)
-		n.mW = append(n.mW, mw)
-		n.vW = append(n.vW, vw)
-		n.biases = append(n.biases, make([]float64, out))
-		n.mB = append(n.mB, make([]float64, out))
-		n.vB = append(n.vB, make([]float64, out))
+		n.layers = append(n.layers, L)
 	}
 	return n
 }
 
+// newLayer allocates a zeroed layer, its parameters, moments and
+// scratch carved from one backing array.
+func newLayer(in, out int) layer {
+	buf := make([]float64, 3*out*in+5*out)
+	next := func(k int) []float64 {
+		s := buf[:k:k]
+		buf = buf[k:]
+		return s
+	}
+	return layer{
+		in: in, out: out,
+		w: next(out * in), mW: next(out * in), vW: next(out * in),
+		b: next(out), mB: next(out), vB: next(out),
+		act: next(out), delta: next(out),
+	}
+}
+
 // Clone returns a deep copy of the network, including its Adam state,
 // so online fine-tuning of the copy (predictor retraining in the
-// serving front end) never perturbs the original.
+// serving front end) never perturbs the original. The copy gets its
+// own scratch buffers.
 func (n *Net) Clone() *Net {
-	c := &Net{sizes: append([]int(nil), n.sizes...), step: n.step}
-	c.weights = clone3(n.weights)
-	c.mW = clone3(n.mW)
-	c.vW = clone3(n.vW)
-	c.biases = clone2(n.biases)
-	c.mB = clone2(n.mB)
-	c.vB = clone2(n.vB)
+	c := &Net{step: n.step, c1: n.c1, c2: n.c2}
+	for _, L := range n.layers {
+		C := newLayer(L.in, L.out)
+		copy(C.w, L.w)
+		copy(C.mW, L.mW)
+		copy(C.vW, L.vW)
+		copy(C.b, L.b)
+		copy(C.mB, L.mB)
+		copy(C.vB, L.vB)
+		c.layers = append(c.layers, C)
+	}
 	return c
 }
 
-func clone2(src [][]float64) [][]float64 {
-	out := make([][]float64, len(src))
-	for i, row := range src {
-		out[i] = append([]float64(nil), row...)
-	}
-	return out
-}
+// maxStackWidth bounds the hidden-layer width Forward keeps on the
+// stack; wider nets fall back to heap scratch.
+const maxStackWidth = 32
 
-func clone3(src [][][]float64) [][][]float64 {
-	out := make([][][]float64, len(src))
-	for i, m := range src {
-		out[i] = clone2(m)
-	}
-	return out
-}
-
-// NumParams returns the trainable parameter count.
-func (n *Net) NumParams() int {
-	total := 0
-	for l := range n.weights {
-		total += len(n.weights[l])*len(n.weights[l][0]) + len(n.biases[l])
-	}
-	return total
-}
-
-// Forward runs inference and returns the output vector.
+// Forward runs inference and returns the output vector. It reads the
+// Net and writes only stack scratch and the returned slice, so
+// concurrent Forward calls on one Net are safe.
 func (n *Net) Forward(x []float64) []float64 {
-	out, _ := n.forward(x)
+	n.checkInput(x)
+	var stack [2 * maxStackWidth]float64
+	a, b := stack[:maxStackWidth], stack[maxStackWidth:]
+	if w := n.maxHidden(); w > maxStackWidth {
+		a, b = make([]float64, w), make([]float64, w)
+	}
+	cur := x
+	last := len(n.layers) - 1
+	for l := 0; l < last; l++ {
+		L := &n.layers[l]
+		L.forward(cur, a[:L.out], true)
+		cur, a, b = a[:L.out], b, a
+	}
+	out := make([]float64, n.layers[last].out)
+	n.layers[last].forward(cur, out, false)
 	return out
 }
 
-// ForwardQuant runs inference with each layer's activations snapped to
-// a fixed-point grid: formats[l] quantises the output of weight layer l
-// (the last entry repeats for deeper layers; nil formats is plain
-// Forward). This is the functional model of the predictor MLP running
-// on reduced-precision in-memory hardware — weights stay float64 (they
-// live on the host), but everything a narrow device stores between
-// layers rounds to its grid and clamps to its range.
-func (n *Net) ForwardQuant(x []float64, formats []fixed.Format) []float64 {
-	if len(formats) == 0 {
-		return n.Forward(x)
+// maxHidden returns the widest hidden layer.
+func (n *Net) maxHidden() int {
+	w := 0
+	for l := range n.layers[:len(n.layers)-1] {
+		w = max(w, n.layers[l].out)
 	}
-	if len(x) != n.sizes[0] {
-		panic(fmt.Sprintf("mlp: input size %d, want %d", len(x), n.sizes[0]))
-	}
-	cur := append([]float64(nil), x...)
-	for l := range n.weights {
-		f := formats[len(formats)-1]
-		if l < len(formats) {
-			f = formats[l]
-		}
-		next := make([]float64, n.sizes[l+1])
-		for o := range next {
-			s := n.biases[l][o]
-			row := n.weights[l][o]
-			for i, v := range cur {
-				s += row[i] * v
-			}
-			if l < len(n.weights)-1 {
-				s = math.Tanh(s)
-			}
-			next[o] = f.Float(f.FromFloat(s))
-		}
-		cur = next
-	}
-	return cur
+	return w
 }
 
-// forward returns the output and all layer activations (inputs first).
-func (n *Net) forward(x []float64) ([]float64, [][]float64) {
-	if len(x) != n.sizes[0] {
-		panic(fmt.Sprintf("mlp: input size %d, want %d", len(x), n.sizes[0]))
+func (n *Net) checkInput(x []float64) {
+	if in := n.layers[0].in; len(x) != in {
+		panic(fmt.Sprintf("mlp: input size %d, want %d", len(x), in))
 	}
-	acts := [][]float64{append([]float64(nil), x...)}
-	cur := acts[0]
-	for l := range n.weights {
-		next := make([]float64, n.sizes[l+1])
-		for o := range next {
-			s := n.biases[l][o]
-			row := n.weights[l][o]
-			for i, v := range cur {
-				s += row[i] * v
-			}
-			if l < len(n.weights)-1 {
-				s = math.Tanh(s)
-			}
-			next[o] = s
+}
+
+// forward computes dst[o] = bias[o] + sum_i w[o,i]*src[i], summed in
+// input order, through tanh when hidden.
+func (L *layer) forward(src, dst []float64, hidden bool) {
+	for o := range dst {
+		s := L.b[o]
+		row := L.w[o*L.in : (o+1)*L.in]
+		for i, v := range src {
+			s += row[i] * v
 		}
-		acts = append(acts, next)
-		cur = next
+		if hidden {
+			s = math.Tanh(s)
+		}
+		dst[o] = s
 	}
-	return cur, acts
 }
 
 // Adam hyperparameters.
@@ -176,94 +170,115 @@ const (
 	eps   = 1e-8
 )
 
+// advance counts one Adam step and refreshes the bias corrections,
+// calling math.Pow only while a correction still differs from 1.
+func (n *Net) advance() {
+	n.step++
+	if n.c1 != 1 {
+		n.c1 = 1 - math.Pow(beta1, float64(n.step))
+	}
+	if n.c2 != 1 {
+		n.c2 = 1 - math.Pow(beta2, float64(n.step))
+	}
+}
+
+// adamStep carries one step's learning rate and bias corrections by
+// value, so the update loop keeps them in registers instead of
+// reloading Net fields after every parameter store.
+type adamStep struct{ lr, c1, c2 float64 }
+
+// update returns parameter p and its moments m, v after one Adam step
+// with gradient g. A division by a correction of exactly 1 is skipped;
+// it would return its operand unchanged.
+func (a adamStep) update(p, m, v, g float64) (float64, float64, float64) {
+	m = beta1*m + (1-beta1)*g
+	v = beta2*v + (1-beta2)*g*g
+	mHat, vHat := m, v
+	if a.c1 != 1 {
+		mHat = m / a.c1
+	}
+	if a.c2 != 1 {
+		vHat = v / a.c2
+	}
+	return p - a.lr*mHat/(math.Sqrt(vHat)+eps), m, v
+}
+
 // TrainStep performs one Adam update on a single (x, y) pair with mean
 // squared error loss and returns the sample loss before the update.
+//
+// The backward pass walks the layers from the top. For each weight it
+// first propagates the weight's share of the delta to the layer below,
+// using the weight before its update, then applies the Adam step. No
+// later step reads a layer's weights once its delta has been
+// propagated, so the fused pass computes exactly what a full backward
+// pass followed by a separate update pass would.
 func (n *Net) TrainStep(x, y []float64, lr float64) float64 {
-	out, acts := n.forward(x)
-	if len(y) != len(out) {
+	n.checkInput(x)
+	top := &n.layers[len(n.layers)-1]
+	if len(y) != top.out {
 		panic("mlp: target size mismatch")
 	}
-	// Output delta (linear layer, MSE): d = out - y.
-	delta := make([]float64, len(out))
+	cur := x
+	for l := range n.layers {
+		L := &n.layers[l]
+		L.forward(cur, L.act, L != top)
+		cur = L.act
+	}
+
+	// Output delta (linear layer, MSE): 2(out - y)/len(y).
 	var loss float64
-	for i := range out {
-		d := out[i] - y[i]
-		delta[i] = 2 * d / float64(len(out))
+	for i, out := range top.act {
+		d := out - y[i]
+		top.delta[i] = 2 * d / float64(len(y))
 		loss += d * d
 	}
-	loss /= float64(len(out))
+	loss /= float64(len(y))
 
-	n.step++
-	for l := len(n.weights) - 1; l >= 0; l-- {
-		in := acts[l]
-		var nextDelta []float64
+	n.advance()
+	adam := adamStep{lr, n.c1, n.c2}
+	for l := len(n.layers) - 1; l >= 0; l-- {
+		L := &n.layers[l]
+		in, below := x, []float64(nil)
 		if l > 0 {
-			nextDelta = make([]float64, len(in))
+			in, below = n.layers[l-1].act, n.layers[l-1].delta
+			clear(below)
 		}
-		for o := range n.weights[l] {
-			row := n.weights[l][o]
-			d := delta[o]
-			for i := range row {
-				if nextDelta != nil {
-					nextDelta[i] += row[i] * d
+		for o, d := range L.delta {
+			row := o * L.in
+			w, mW, vW := L.w[row:row+L.in], L.mW[row:row+L.in], L.vW[row:row+L.in]
+			for i, a := range in {
+				if below != nil {
+					below[i] += w[i] * d
 				}
-				n.adamW(l, o, i, d*in[i])
+				w[i], mW[i], vW[i] = adam.update(w[i], mW[i], vW[i], d*a)
 			}
-			n.adamB(l, o, d)
+			L.b[o], L.mB[o], L.vB[o] = adam.update(L.b[o], L.mB[o], L.vB[o], d)
 		}
-		// Apply tanh derivative for the layer below (its outputs were
-		// tanh-activated).
-		if l > 0 {
-			for i := range nextDelta {
-				a := acts[l][i]
-				nextDelta[i] *= 1 - a*a
+		// The layer below is tanh-activated: scale by its derivative.
+		if below != nil {
+			for i, a := range in {
+				below[i] *= 1 - a*a
 			}
-			delta = nextDelta
 		}
 	}
-	n.apply(lr)
 	return loss
-}
-
-// gradient accumulators for the pending step.
-func (n *Net) adamW(l, o, i int, g float64) {
-	n.mW[l][o][i] = beta1*n.mW[l][o][i] + (1-beta1)*g
-	n.vW[l][o][i] = beta2*n.vW[l][o][i] + (1-beta2)*g*g
-}
-
-func (n *Net) adamB(l, o int, g float64) {
-	n.mB[l][o] = beta1*n.mB[l][o] + (1-beta1)*g
-	n.vB[l][o] = beta2*n.vB[l][o] + (1-beta2)*g*g
-}
-
-// apply performs the bias-corrected Adam parameter update.
-func (n *Net) apply(lr float64) {
-	c1 := 1 - math.Pow(beta1, float64(n.step))
-	c2 := 1 - math.Pow(beta2, float64(n.step))
-	for l := range n.weights {
-		for o := range n.weights[l] {
-			for i := range n.weights[l][o] {
-				mHat := n.mW[l][o][i] / c1
-				vHat := n.vW[l][o][i] / c2
-				n.weights[l][o][i] -= lr * mHat / (math.Sqrt(vHat) + eps)
-			}
-			mHat := n.mB[l][o] / c1
-			vHat := n.vB[l][o] / c2
-			n.biases[l][o] -= lr * mHat / (math.Sqrt(vHat) + eps)
-		}
-	}
 }
 
 // Fit trains on the dataset for the given number of epochs with
 // per-sample Adam updates in a shuffled order, returning the final mean
-// epoch loss.
+// epoch loss. Each epoch's order is the permutation rng.Perm would
+// return, drawn into a buffer the Net reuses.
 func (n *Net) Fit(rng *rand.Rand, xs, ys [][]float64, epochs int, lr float64) float64 {
 	if len(xs) != len(ys) || len(xs) == 0 {
 		panic("mlp: bad training set")
 	}
+	if cap(n.perm) < len(xs) {
+		n.perm = make([]int, len(xs))
+	}
+	perm := n.perm[:len(xs)]
 	var last float64
 	for e := 0; e < epochs; e++ {
-		perm := rng.Perm(len(xs))
+		shuffle(rng, perm)
 		var sum float64
 		for _, i := range perm {
 			sum += n.TrainStep(xs[i], ys[i], lr)
@@ -271,4 +286,16 @@ func (n *Net) Fit(rng *rand.Rand, xs, ys [][]float64, epochs int, lr float64) fl
 		last = sum / float64(len(xs))
 	}
 	return last
+}
+
+// shuffle fills m with a permutation of 0..len(m)-1, making the same
+// rng.Intn calls as rand.(*Rand).Perm and yielding the same order. Every
+// element is written before it is read, so m's prior contents do not
+// matter.
+func shuffle(rng *rand.Rand, m []int) {
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
 }

@@ -3,6 +3,7 @@ package predict
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"mlimp/internal/graph"
@@ -167,4 +168,43 @@ func TestMLPBeatsNaiveOnPreference(t *testing.T) {
 	if mlpAcc+0.05 < naiveAcc {
 		t.Errorf("MLP accuracy %.2f well below naive %.2f", mlpAcc, naiveAcc)
 	}
+}
+
+// TestUnitCyclesConcurrent: a trained predictor is shared read-only
+// (experiments clone one cached model from concurrently running cells),
+// so inference must never write Net state. Eight goroutines query one
+// predictor at once and must see exactly the serial results; under
+// -race any write Forward made would be reported.
+func TestUnitCyclesConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	p := Train(rng, sampleSubgraphs(t, 15, 32), 128, TrainConfig{Epochs: 20, LR: 2e-3})
+	probes := sampleSubgraphs(t, 16, 16)
+	query := func() []float64 {
+		var out []float64
+		for _, adj := range probes {
+			out = append(out, p.PredictHw(adj))
+			for _, tgt := range isa.Targets {
+				out = append(out, float64(p.UnitCycles(adj, 128, tgt)))
+			}
+		}
+		return out
+	}
+	want := query()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				got := query()
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Errorf("concurrent query %d = %v, serial %v", i, got[i], want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
