@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -233,6 +234,45 @@ func TestNonZeroPRows(t *testing.T) {
 	}
 	if got := m.NonZeroPRows(1); got != 4 {
 		t.Errorf("H_1 = %d, want 4", got)
+	}
+}
+
+// refNonZeroPRows counts the distinct (row, strip) pairs in a map: the
+// original H_w formulation, kept as a test oracle.
+func refNonZeroPRows(m *CSR, w int) int {
+	seen := make(map[int64]struct{})
+	for r := 0; r < m.Rows; r++ {
+		cols, _ := m.RowEntries(r)
+		for _, c := range cols {
+			seen[int64(r)<<32|int64(int(c)/w)] = struct{}{}
+		}
+	}
+	return len(seen)
+}
+
+// TestNonZeroPRowsMatchesReference checks H_w against the map oracle on
+// random CSRs, including ones whose rows list their columns unsorted and
+// with repeats, at strip widths below, at and past the column count.
+func TestNonZeroPRowsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 300; trial++ {
+		rows, cols := 1+rng.Intn(40), 1+rng.Intn(700)
+		m := NewCSR(rows, cols)
+		for r := 0; r < rows; r++ {
+			for k := rng.Intn(30); k > 0; k-- {
+				m.ColIdx = append(m.ColIdx, int32(rng.Intn(cols)))
+				m.Val = append(m.Val, 1)
+			}
+			if trial%2 == 0 { // sorted rows, as FromCOO builds them
+				slices.Sort(m.ColIdx[m.RowPtr[r]:])
+			}
+			m.RowPtr[r+1] = int32(len(m.ColIdx))
+		}
+		for _, w := range []int{1, 2, 7, 128, cols, cols + 5} {
+			if got, want := m.NonZeroPRows(w), refNonZeroPRows(m, w); got != want {
+				t.Fatalf("trial %d (%dx%d) w=%d: H_w = %d, reference %d", trial, rows, cols, w, got, want)
+			}
+		}
 	}
 }
 
