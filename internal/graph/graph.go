@@ -8,6 +8,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"mlimp/internal/fixed"
@@ -47,33 +48,26 @@ func (b *Builder) AddEdge(u, v int) {
 
 // Build produces the immutable CSR graph. Parallel edges collapse to one.
 func (b *Builder) Build() *Graph {
-	// Symmetrise: store each undirected edge in both directions.
-	dir := make([][2]int32, 0, 2*len(b.edges))
+	// Symmetrise: store each undirected edge in both directions, packed
+	// as (source << 32 | destination) so a plain integer sort orders the
+	// arcs by source, then destination.
+	arcs := make([]uint64, 0, 2*len(b.edges))
 	for _, e := range b.edges {
-		dir = append(dir, e)
-		if e[0] != e[1] {
-			dir = append(dir, [2]int32{e[1], e[0]})
+		u, v := uint64(e[0]), uint64(e[1])
+		arcs = append(arcs, u<<32|v)
+		if u != v {
+			arcs = append(arcs, v<<32|u)
 		}
 	}
-	sort.Slice(dir, func(i, j int) bool {
-		if dir[i][0] != dir[j][0] {
-			return dir[i][0] < dir[j][0]
-		}
-		return dir[i][1] < dir[j][1]
-	})
-	g := &Graph{N: b.n, rowPtr: make([]int32, b.n+1)}
-	row := int32(0)
-	for i, e := range dir {
-		if i > 0 && e == dir[i-1] {
-			continue // dedupe
-		}
-		for ; row < e[0]; row++ {
-			g.rowPtr[row+1] = int32(len(g.adj))
-		}
-		g.adj = append(g.adj, e[1])
+	slices.Sort(arcs)
+	arcs = slices.Compact(arcs) // dedupe
+	g := &Graph{N: b.n, rowPtr: make([]int32, b.n+1), adj: make([]int32, len(arcs))}
+	for i, a := range arcs {
+		g.rowPtr[a>>32+1]++
+		g.adj[i] = int32(uint32(a))
 	}
-	for ; row < int32(b.n); row++ {
-		g.rowPtr[row+1] = int32(len(g.adj))
+	for u := 0; u < b.n; u++ {
+		g.rowPtr[u+1] += g.rowPtr[u]
 	}
 	return g
 }

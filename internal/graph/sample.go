@@ -2,8 +2,9 @@ package graph
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
+	"mlimp/internal/fixed"
 	"mlimp/internal/tensor"
 )
 
@@ -26,12 +27,24 @@ func (s *Subgraph) NNZ() int { return s.Adj.NNZ() }
 
 // Sampler extracts k-hop neighbourhood subgraphs with per-hop fanout
 // limits, mirroring PyG's neighbor sampler (Section IV).
+//
+// A Sampler keeps scratch state between calls — a dense per-node marker
+// and the buffers an induced adjacency is built in — so it is not safe
+// for concurrent use.
 type Sampler struct {
 	G       *Graph
 	Hops    int
 	Fanout  int // max neighbours expanded per node per hop; <=0 = all
 	rng     *rand.Rand
 	normAdj *tensor.CSR // cached normalised adjacency of G
+
+	// mark holds, per node of G, its local index + 1 in the subgraph
+	// being built (or any nonzero value while hops are expanded); 0
+	// means absent. Every call clears the entries it set.
+	mark    []int32
+	visited []int32     // nodes in discovery order
+	cols    []int32     // induced CSR columns, built before the exact-length copy
+	vals    []fixed.Num // induced CSR values, likewise
 }
 
 // NewSampler builds a sampler over g with the given hop count and fanout.
@@ -39,75 +52,80 @@ func NewSampler(rng *rand.Rand, g *Graph, hops, fanout int) *Sampler {
 	if hops < 1 {
 		panic("graph: sampler needs >= 1 hop")
 	}
-	return &Sampler{G: g, Hops: hops, Fanout: fanout, rng: rng, normAdj: g.NormalizedAdjacency()}
+	return &Sampler{G: g, Hops: hops, Fanout: fanout, rng: rng,
+		normAdj: g.NormalizedAdjacency(), mark: make([]int32, g.N)}
 }
 
-// Sample extracts the k-hop subgraph around query.
+// Sample extracts the k-hop subgraph around query. Nodes lists the query
+// first, then the rest of the neighbourhood in ascending id order.
 func (s *Sampler) Sample(query int) *Subgraph {
-	inSet := map[int32]struct{}{int32(query): {}}
-	frontier := []int32{int32(query)}
-	for hop := 0; hop < s.Hops; hop++ {
-		var next []int32
-		for _, u := range frontier {
-			ns := s.G.Neighbors(int(u))
-			picked := ns
+	s.mark[query] = 1
+	s.visited = append(s.visited[:0], int32(query))
+	// Each hop's frontier is the run of visited nodes the previous hop
+	// discovered.
+	for hop, lo := 0, 0; hop < s.Hops; hop++ {
+		hi := len(s.visited)
+		for i := lo; i < hi; i++ {
+			ns := s.G.Neighbors(int(s.visited[i]))
 			if s.Fanout > 0 && len(ns) > s.Fanout {
-				picked = make([]int32, s.Fanout)
-				perm := s.rng.Perm(len(ns))[:s.Fanout]
-				for i, p := range perm {
-					picked[i] = ns[p]
+				for _, p := range s.rng.Perm(len(ns))[:s.Fanout] {
+					s.visit(ns[p])
 				}
+				continue
 			}
-			for _, v := range picked {
-				if _, ok := inSet[v]; !ok {
-					inSet[v] = struct{}{}
-					next = append(next, v)
-				}
+			for _, v := range ns {
+				s.visit(v)
 			}
 		}
-		frontier = next
-		if len(frontier) == 0 {
+		if len(s.visited) == hi {
 			break
 		}
+		lo = hi
 	}
-	nodes := make([]int32, 0, len(inSet))
-	for v := range inSet {
-		if int(v) != query {
-			nodes = append(nodes, v)
-		}
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	nodes = append([]int32{int32(query)}, nodes...)
+	nodes := slices.Clone(s.visited)
+	slices.Sort(nodes[1:])
 	return &Subgraph{Query: query, Nodes: nodes, Adj: s.induced(nodes)}
 }
 
+// visit adds v to the subgraph unless it is already in it.
+func (s *Sampler) visit(v int32) {
+	if s.mark[v] == 0 {
+		s.mark[v] = 1
+		s.visited = append(s.visited, v)
+	}
+}
+
 // induced extracts the normalised adjacency restricted to nodes, remapped
-// to local indices.
+// to local indices, and clears the marks of nodes. nodes[1:] must be
+// sorted ascending, so the local columns of every row come out in the
+// row's global column order, save local 0, which leads the row.
 func (s *Sampler) induced(nodes []int32) *tensor.CSR {
-	local := make(map[int32]int32, len(nodes))
 	for i, v := range nodes {
-		local[v] = int32(i)
+		s.mark[v] = int32(i) + 1
 	}
 	m := tensor.NewCSR(len(nodes), len(nodes))
+	cols, vals := s.cols[:0], s.vals[:0]
 	for i, u := range nodes {
-		cols, vals := s.normAdj.RowEntries(int(u))
-		type ent struct {
-			c int32
-			v int
-		}
-		row := make([]ent, 0, len(cols))
-		for k, c := range cols {
-			if lc, ok := local[c]; ok {
-				row = append(row, ent{c: lc, v: k})
+		rowCols, rowVals := s.normAdj.RowEntries(int(u))
+		first := len(cols)
+		for k, c := range rowCols {
+			if l := s.mark[c]; l != 0 {
+				cols = append(cols, l-1)
+				vals = append(vals, rowVals[k])
+				if l == 1 && len(cols)-1 > first { // local 0 to the front
+					copy(cols[first+1:], cols[first:len(cols)-1])
+					copy(vals[first+1:], vals[first:len(vals)-1])
+					cols[first], vals[first] = 0, rowVals[k]
+				}
 			}
 		}
-		sort.Slice(row, func(a, b int) bool { return row[a].c < row[b].c })
-		for _, e := range row {
-			m.ColIdx = append(m.ColIdx, e.c)
-			m.Val = append(m.Val, vals[e.v])
-		}
-		m.RowPtr[i+1] = int32(len(m.ColIdx))
+		m.RowPtr[i+1] = int32(len(cols))
 	}
+	for _, v := range nodes {
+		s.mark[v] = 0
+	}
+	m.ColIdx, m.Val = slices.Clone(cols), slices.Clone(vals)
+	s.cols, s.vals = cols, vals
 	return m
 }
 
@@ -123,21 +141,19 @@ func (s *Sampler) SampleBatch(queries []int) []*Subgraph {
 // Concat merges a batch of subgraphs into one concatenated subgraph over
 // the union of their nodes (Section IV: used for highly connected graphs
 // such as ogbl-ppa and ogbl-ddi where k-hop neighbourhoods overlap
-// heavily). Query is taken from the first subgraph.
+// heavily). Query is taken from the first subgraph; Nodes is the union
+// in ascending id order.
 func (s *Sampler) Concat(batch []*Subgraph) *Subgraph {
 	if len(batch) == 0 {
 		panic("graph: Concat of empty batch")
 	}
-	union := map[int32]struct{}{}
+	s.visited = s.visited[:0]
 	for _, sg := range batch {
 		for _, v := range sg.Nodes {
-			union[v] = struct{}{}
+			s.visit(v)
 		}
 	}
-	nodes := make([]int32, 0, len(union))
-	for v := range union {
-		nodes = append(nodes, v)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	nodes := slices.Clone(s.visited)
+	slices.Sort(nodes)
 	return &Subgraph{Query: batch[0].Query, Nodes: nodes, Adj: s.induced(nodes)}
 }

@@ -9,6 +9,7 @@ package predict
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"mlimp/internal/isa"
@@ -48,12 +49,23 @@ const scale = 32.0
 
 func lg(v float64) float64 { return math.Log2(v+1) / scale }
 
-func hwFeatures(adj *tensor.CSR) []float64 {
-	return []float64{lg(PRowWidth), lg(float64(adj.Rows)), lg(float64(adj.NNZ()))}
+// The regressors' inputs are built as arrays, so inference keeps them on
+// the stack.
+func hwFeatures(adj *tensor.CSR) [3]float64 {
+	return [3]float64{lg(PRowWidth), lg(float64(adj.Rows)), lg(float64(adj.NNZ()))}
 }
 
+// cycleInputs is the cycle regressors' input width.
+const cycleInputs = 4
+
+func cycleInput(adj *tensor.CSR, f int, hw float64) [cycleInputs]float64 {
+	return [cycleInputs]float64{lg(float64(adj.Rows)), lg(float64(adj.NNZ())), lg(float64(f)), lg(hw)}
+}
+
+// cycleFeatures is cycleInput as a slice, a row of a training set.
 func cycleFeatures(adj *tensor.CSR, f int, hw float64) []float64 {
-	return []float64{lg(float64(adj.Rows)), lg(float64(adj.NNZ())), lg(float64(f)), lg(hw)}
+	x := cycleInput(adj, f, hw)
+	return x[:]
 }
 
 // MLP is the trained two-stage regressor. Train once per mother graph;
@@ -63,6 +75,11 @@ type MLP struct {
 	hw     *mlp.Net
 	cycles map[isa.Target]*mlp.Net
 	f      int
+
+	// Refit's training set, reused across refits: per observation its
+	// cycle features and target, and the per-target row views Fit takes.
+	obsX, obsY []float64
+	xs, ys     [][]float64
 }
 
 // TrainConfig controls regressor training.
@@ -86,7 +103,8 @@ func Train(rng *rand.Rand, training []*tensor.CSR, f int, cfg TrainConfig) *MLP 
 	// Stage 1: H_w from (w, dim, nnz).
 	var hwX, hwY [][]float64
 	for _, adj := range training {
-		hwX = append(hwX, hwFeatures(adj))
+		x := hwFeatures(adj)
+		hwX = append(hwX, x[:])
 		hwY = append(hwY, []float64{lg(float64(adj.NonZeroPRows(PRowWidth)))})
 	}
 	p.hw = mlp.New(rng, 3, 16, 8, 1)
@@ -103,7 +121,7 @@ func Train(rng *rand.Rand, training []*tensor.CSR, f int, cfg TrainConfig) *MLP 
 			xs = append(xs, cycleFeatures(adj, f, hwPred))
 			ys = append(ys, []float64{lg(float64(oracle.UnitCycles(adj, f, t)))})
 		}
-		net := mlp.New(rng, 4, 16, 8, 1)
+		net := mlp.New(rng, cycleInputs, 16, 8, 1)
 		net.Fit(rng, xs, ys, cfg.Epochs, cfg.LR)
 		p.cycles[t] = net
 	}
@@ -143,28 +161,35 @@ func (p *MLP) Refit(rng *rand.Rand, obs []Observation, epochs int, lr float64) {
 	if len(obs) == 0 || epochs <= 0 {
 		return
 	}
-	byTarget := make(map[isa.Target][]Observation)
+	const nf = cycleInputs
+	p.obsX, p.obsY = slices.Grow(p.obsX[:0], nf*len(obs)), slices.Grow(p.obsY[:0], len(obs))
 	for _, o := range obs {
-		byTarget[o.Target] = append(byTarget[o.Target], o)
+		x := cycleInput(o.Adj, o.F, p.predictHw(o.Adj))
+		p.obsX = append(p.obsX, x[:]...)
+		p.obsY = append(p.obsY, lg(float64(o.Cycles)))
 	}
 	for _, t := range isa.Targets { // canonical order: determinism
-		os := byTarget[t]
 		net := p.cycles[t]
-		if len(os) == 0 || net == nil {
+		if net == nil {
 			continue
 		}
-		xs := make([][]float64, len(os))
-		ys := make([][]float64, len(os))
-		for i, o := range os {
-			xs[i] = cycleFeatures(o.Adj, o.F, p.predictHw(o.Adj))
-			ys[i] = []float64{lg(float64(o.Cycles))}
+		xs, ys := p.xs[:0], p.ys[:0]
+		for i, o := range obs {
+			if o.Target == t {
+				xs = append(xs, p.obsX[nf*i:nf*(i+1):nf*(i+1)])
+				ys = append(ys, p.obsY[i:i+1:i+1])
+			}
 		}
-		net.Fit(rng, xs, ys, epochs, lr)
+		if len(xs) > 0 {
+			net.Fit(rng, xs, ys, epochs, lr)
+		}
+		p.xs, p.ys = xs, ys
 	}
 }
 
 func (p *MLP) predictHw(adj *tensor.CSR) float64 {
-	out := p.hw.Forward(hwFeatures(adj))[0]
+	x := hwFeatures(adj)
+	out := p.hw.Forward(x[:])[0]
 	return math.Exp2(out*scale) - 1
 }
 
@@ -175,7 +200,8 @@ func (p *MLP) PredictHw(adj *tensor.CSR) float64 { return p.predictHw(adj) }
 // UnitCycles implements Predictor with the trained regressors.
 func (p *MLP) UnitCycles(adj *tensor.CSR, f int, t isa.Target) int64 {
 	hw := p.predictHw(adj)
-	out := p.cycles[t].Forward(cycleFeatures(adj, f, hw))[0]
+	x := cycleInput(adj, f, hw)
+	out := p.cycles[t].Forward(x[:])[0]
 	c := math.Exp2(out*scale) - 1
 	if c < 1 {
 		c = 1

@@ -195,14 +195,15 @@ func (m *CSR) NonZeroPRows(w int) int {
 	if w <= 0 {
 		panic("tensor: prow width must be positive")
 	}
+	// stamp[s] is 1 + the last row with a nonzero in strip s, so a
+	// prow counts once however its row's columns are ordered.
+	stamp := make([]int32, (m.Cols+w-1)/w)
 	count := 0
-	seen := make(map[int64]struct{})
 	for r := 0; r < m.Rows; r++ {
 		cols, _ := m.RowEntries(r)
 		for _, c := range cols {
-			key := int64(r)<<32 | int64(int(c)/w)
-			if _, ok := seen[key]; !ok {
-				seen[key] = struct{}{}
+			if s := &stamp[int(c)/w]; *s != int32(r)+1 {
+				*s = int32(r) + 1
 				count++
 			}
 		}
